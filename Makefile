@@ -36,12 +36,17 @@ bench:
 	$(GO) test -run=NONE -bench=Crawl -benchtime=1x ./...
 	$(GO) test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
 
-# Short fuzz smoke over the two parser-shaped attack surfaces: proxy
-# usernames (zone/session encoding) and certificate-chain unmarshalling.
-# Five seconds each — a corpus regression check, not a campaign.
+# Short fuzz smoke over every parser that faces untrusted bytes: proxy
+# usernames (zone/session encoding), certificates and certificate chains,
+# HTTP requests and responses, and DNS messages. Five seconds each — a
+# corpus regression check, not a campaign.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 	$(GO) test -run=NONE -fuzz='FuzzUnmarshal$$' -fuzztime=5s ./internal/cert
+	$(GO) test -run=NONE -fuzz='FuzzUnmarshalChain$$' -fuzztime=5s ./internal/cert
+	$(GO) test -run=NONE -fuzz='FuzzReadRequest$$' -fuzztime=5s ./internal/httpwire
+	$(GO) test -run=NONE -fuzz='FuzzReadResponse$$' -fuzztime=5s ./internal/httpwire
+	$(GO) test -run=NONE -fuzz='FuzzUnmarshal$$' -fuzztime=5s ./internal/dnswire
 
 # Chaos soak: the fault plane, breaker, and churner under the race detector,
 # plus the fixed-seed end-to-end soaks (byte-identical runs, error budget

@@ -8,9 +8,10 @@
 package content
 
 import (
-	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Kind is one of the four object types fetched per exit node.
@@ -83,28 +84,46 @@ const (
 // Object returns the canonical bytes for a kind. The generation is
 // deterministic so any two parties (origin server, measurement client)
 // agree on the exact payload.
+//
+// Each kind is built once per process; every call returns the same shared
+// slice. Callers must treat it as read-only. It is clipped to len == cap,
+// so an append reallocates instead of writing into the shared copy.
 func Object(k Kind) []byte {
-	switch k {
-	case KindHTML:
-		return htmlObject()
-	case KindImage:
-		img := Image{Width: 640, Height: 480, Quality: 92, ID: 0x7f71}
-		return img.Encode(ImageSize)
-	case KindJS:
-		return textObject("js", JSSize,
-			"// tft measurement library — unminified on purpose (§5.1)\n",
-			"function probeSegment%04d(input) {\n    var accumulator = input;\n    accumulator = accumulator + %d;\n    return accumulator;\n}\n")
-	case KindCSS:
-		return textObject("css", CSSSize,
-			"/* tft measurement stylesheet — unminified on purpose (§5.1) */\n",
-			".probe-segment-%04d {\n    margin: %dpx;\n    padding: 2px;\n}\n")
+	if k < 0 || int(k) >= len(objects) {
+		return nil
 	}
-	return nil
+	return objects[k]()
 }
 
-// Hash returns the SHA-256 of an object, the comparison key for
-// modification detection.
-func Hash(b []byte) [32]byte { return sha256.Sum256(b) }
+// objects holds one lazy builder per kind, indexed by Kind.
+var objects = [...]func() []byte{
+	KindHTML:  once(htmlObject),
+	KindImage: once(imageObject),
+	KindJS:    once(jsObject),
+	KindCSS:   once(cssObject),
+}
+
+// once wraps a builder so it runs on first use only, and clips its result.
+func once(build func() []byte) func() []byte {
+	return sync.OnceValue(func() []byte { return slices.Clip(build()) })
+}
+
+func imageObject() []byte {
+	img := Image{Width: 640, Height: 480, Quality: 92, ID: 0x7f71}
+	return img.Encode(ImageSize)
+}
+
+func jsObject() []byte {
+	return textObject("js", JSSize,
+		"// tft measurement library — unminified on purpose (§5.1)\n",
+		"function probeSegment%04d(input) {\n    var accumulator = input;\n    accumulator = accumulator + %d;\n    return accumulator;\n}\n")
+}
+
+func cssObject() []byte {
+	return textObject("css", CSSSize,
+		"/* tft measurement stylesheet — unminified on purpose (§5.1) */\n",
+		".probe-segment-%04d {\n    margin: %dpx;\n    padding: 2px;\n}\n")
+}
 
 // htmlObject builds the 9 KB HTML page. It intentionally contains realistic
 // structure (head, scripts, body text) because several real-world injectors

@@ -2,7 +2,10 @@ package content
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -25,13 +28,65 @@ func TestObjectsDeterministic(t *testing.T) {
 }
 
 func TestObjectsDistinct(t *testing.T) {
-	seen := make(map[[32]byte]Kind)
-	for _, k := range Kinds {
-		h := Hash(Object(k))
-		if prev, ok := seen[h]; ok {
-			t.Fatalf("%v and %v hash identically", prev, k)
+	for i, a := range Kinds {
+		for _, b := range Kinds[i+1:] {
+			if bytes.Equal(Object(a), Object(b)) {
+				t.Fatalf("%v and %v have identical bytes", a, b)
+			}
 		}
-		seen[h] = k
+	}
+}
+
+// TestObjectBytesPinned pins every canonical object to its SHA-256, so
+// building the objects once per process can never change what is served.
+func TestObjectBytesPinned(t *testing.T) {
+	want := map[Kind]string{
+		KindHTML:  "d6e9b221aee03b52cec615f6e9cb965cce57016b6c215d60a578e7651a018a25",
+		KindImage: "fedc97da6ef34f1148f099a5a100e78f8baa3e0246600679fc2cd633be8d2848",
+		KindJS:    "12ea957aa2f2b2d974bb32692c7fb4842e296e5bd9e64c0a49f6376e74884974",
+		KindCSS:   "54fc0e292bf45088631d71676964f9ed278f3f20fd0734e4a0dd3d6af19738a0",
+	}
+	for _, k := range Kinds {
+		if got := fmt.Sprintf("%x", sha256.Sum256(Object(k))); got != want[k] {
+			t.Errorf("%v sha256 = %s, want %s", k, got, want[k])
+		}
+	}
+	if Object(Kind(9)) != nil || Object(Kind(-1)) != nil {
+		t.Error("unknown kind returned bytes")
+	}
+}
+
+// TestObjectShared checks the sharing contract: one backing array per kind,
+// clipped so an append reallocates, safe to fetch from many goroutines.
+func TestObjectShared(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([][4][]byte, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range Kinds {
+				got[g][k] = Object(k)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, k := range Kinds {
+		first := Object(k)
+		if len(first) != cap(first) {
+			t.Errorf("%v: len %d != cap %d", k, len(first), cap(first))
+		}
+		for g := range got {
+			if &got[g][k][0] != &first[0] {
+				t.Errorf("%v: goroutine %d got a different backing array", k, g)
+			}
+		}
+		want := bytes.Clone(first)
+		grown := append(first, "tampered"...)
+		grown[0] ^= 0xff
+		if next := Object(k); !bytes.Equal(next, want) {
+			t.Errorf("%v: appending to a returned slice changed the shared bytes", k)
+		}
 	}
 }
 

@@ -27,10 +27,34 @@ var ErrWouldBlock = errors.New("simnet: operation would block")
 // fault, never as a middlebox outcome.
 var ErrInjectedReset = errors.New("simnet: connection reset by injected fault")
 
-// ringBufPool recycles full-window ring storage between connections. A crawl
-// opens millions of short-lived streams; with the pool, the steady-state
+// Ring storage recycles between connections in two size classes. A crawl
+// opens millions of short-lived streams; with the pools, the steady-state
 // buffer count is the handful of connections actually in flight.
-var ringBufPool sync.Pool
+//
+// ringBufPool holds only buffers of capacity exactly DefaultWindow, the
+// storage of every ordinary ring. grownBufPool holds the larger buffers of
+// rings that grew past their window (see growBuf). Keeping the classes
+// apart stops a grown buffer from parking, unused, under an ordinary ring
+// while the next growing ring allocates a fresh one.
+var ringBufPool, grownBufPool sync.Pool
+
+// recycleBuf returns ring storage to the pool of its size class, boxing it
+// in bufp (allocating a box only when the buffer arrived without one).
+// Buffers smaller than DefaultWindow are left to the collector.
+func recycleBuf(buf []byte, bufp *[]byte) {
+	pool := &ringBufPool
+	switch {
+	case cap(buf) > DefaultWindow:
+		pool = &grownBufPool
+	case cap(buf) < DefaultWindow:
+		return
+	}
+	if bufp == nil {
+		bufp = new([]byte)
+	}
+	*bufp = buf[:0]
+	pool.Put(bufp)
+}
 
 // Pipe returns a connected pair of buffered in-memory stream ends, the
 // fabric's fast-path replacement for net.Pipe. Each direction is an
@@ -123,13 +147,7 @@ func (pp *pair) maybeReclaim() {
 		if wt != nil {
 			wt.Stop()
 		}
-		if cap(buf) >= DefaultWindow {
-			if bufp == nil {
-				bufp = new([]byte)
-			}
-			*bufp = buf[:0]
-			ringBufPool.Put(bufp)
-		}
+		recycleBuf(buf, bufp)
 	}
 }
 
@@ -277,21 +295,36 @@ type deadline struct {
 	gen   uint64
 }
 
-// ensureBuf allocates the ring storage on first use: a pooled full-window
-// buffer when one fits, a fresh one otherwise. Allocating the whole window
-// up front means the ring never copies to grow, and the buffer recycles
-// through ringBufPool across connections.
+// ensureBuf allocates the ring storage on first use: a pooled buffer of
+// the window's size class when one fits, a fresh one otherwise.
+// Allocating the whole window up front means the ring never copies to
+// grow within its window, and the buffer recycles through its pool across
+// connections.
 func (r *ring) ensureBuf() {
-	if p, _ := ringBufPool.Get().(*[]byte); p != nil && cap(*p) >= r.window {
-		r.bufp = p
-		r.buf = (*p)[:r.window]
-	} else {
-		// Box the fresh buffer once; the box travels with it through every
-		// later Put/Get so returning it to the pool never allocates.
-		r.bufp = new([]byte)
-		r.buf = make([]byte, r.window)
-	}
 	r.start = 0
+	if p := takeBuf(r.window); p != nil {
+		r.buf, r.bufp = (*p)[:r.window], p
+		return
+	}
+	// Box the fresh buffer once; the box travels with it through every
+	// later Put/Get so returning it to the pool never allocates.
+	r.bufp = new([]byte)
+	r.buf = make([]byte, r.window)
+}
+
+// takeBuf returns a pooled buffer of capacity at least n from the pool of
+// n's size class, or nil. A grown buffer too small for n goes back.
+func takeBuf(n int) *[]byte {
+	if n <= DefaultWindow {
+		p, _ := ringBufPool.Get().(*[]byte)
+		return p
+	}
+	p, _ := grownBufPool.Get().(*[]byte)
+	if p != nil && cap(*p) < n {
+		grownBufPool.Put(p)
+		return nil
+	}
+	return p
 }
 
 // growBuf widens the ring past its window — the escape hatch for handlers
@@ -300,29 +333,32 @@ func (r *ring) ensureBuf() {
 // would deadlock; growing trades bounded memory for progress on exactly
 // the rings that need it (see Fabric.Dial). Caller holds r.mu with
 // r.n == r.window, so buf is allocated and fully occupied.
+//
+// The window doubles until need more bytes fit. The new storage comes
+// from grownBufPool when a buffer there is large enough, else it is
+// allocated.
 func (r *ring) growBuf(need int) {
 	newCap := r.window * 2
 	for newCap < r.n+need {
 		newCap *= 2
 	}
-	nb := make([]byte, newCap)
+	var nb []byte
+	nbp := takeBuf(newCap)
+	if nbp != nil {
+		nb = (*nbp)[:newCap]
+	} else {
+		nb = make([]byte, newCap)
+	}
 	first := len(r.buf) - r.start
 	if first > r.n {
 		first = r.n
 	}
 	copy(nb, r.buf[r.start:r.start+first])
 	copy(nb[first:], r.buf[:r.n-first])
-	old, oldp := r.buf, r.bufp
-	r.buf, r.bufp = nb, nil
+	recycleBuf(r.buf, r.bufp)
+	r.buf, r.bufp = nb, nbp
 	r.start = 0
 	r.window = newCap
-	if cap(old) >= DefaultWindow {
-		if oldp == nil {
-			oldp = new([]byte)
-		}
-		*oldp = old[:0]
-		ringBufPool.Put(oldp)
-	}
 }
 
 // pumpOrWait is the blocked path shared by read and write: run one queued

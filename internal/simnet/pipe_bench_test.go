@@ -84,3 +84,50 @@ func BenchmarkPipeDialRoundTrip(b *testing.B) {
 		conn.Close()
 	}
 }
+
+// BenchmarkPipeDialLargeResponse measures a fabric dial whose inline
+// handler answers with a 258 KB body — the §5 script object — so the
+// service-side ring grows past its window, as on every object fetch. The
+// reader drains it in 32 KB reads.
+func BenchmarkPipeDialLargeResponse(b *testing.B) {
+	f := NewFabric()
+	srv := mustParse("10.9.9.9")
+	cli := mustParse("10.9.9.1")
+	resp := make([]byte, 258<<10)
+	f.HandleTCP(srv, 80, func(c net.Conn) {
+		defer c.Close()
+		req := make([]byte, 4)
+		if _, err := io.ReadFull(c, req); err == nil {
+			c.Write(resp)
+		}
+	})
+	req := []byte("GET\n")
+	buf := make([]byte, 32<<10)
+	b.SetBytes(int64(len(resp)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn, err := f.Dial(bg, cli, srv, 80)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			k, err := conn.Read(buf)
+			n += k
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n != len(resp) {
+			b.Fatalf("read %d bytes, want %d", n, len(resp))
+		}
+		conn.Close()
+	}
+}

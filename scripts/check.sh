@@ -1,9 +1,10 @@
 #!/bin/sh
 # Pre-merge gate: formatting, vet, tftlint static analysis, build,
-# race-enabled tests, a short fuzz smoke, one-iteration benchmark smoke runs
-# (crawl + the simnet fast-path pipe), and a live scrape of the super
-# proxy's Prometheus exposition including the resolver-cache hit-rate
-# assertion. Equivalent to `make check` for environments without make.
+# race-enabled tests, a short fuzz smoke over every untrusted-input parser,
+# one-iteration benchmark smoke runs (crawl + the simnet fast-path pipe),
+# and a live scrape of the super proxy's Prometheus exposition including
+# the resolver-cache hit-rate assertion. Equivalent to `make check` for
+# environments without make.
 set -eux
 
 unformatted=$(gofmt -l .)
@@ -16,6 +17,10 @@ go build ./...
 go test -race ./...
 go test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 go test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert
+go test -run=NONE -fuzz='FuzzUnmarshalChain$' -fuzztime=5s ./internal/cert
+go test -run=NONE -fuzz='FuzzReadRequest$' -fuzztime=5s ./internal/httpwire
+go test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
+go test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
 go test -run=NONE -bench=Crawl -benchtime=1x ./...
 go test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
 # Small-K shard-merge smoke: per-shard sinks and aggregate Merge must
