@@ -7,8 +7,11 @@ GO ?= go
 
 check: vet lint build race bench fuzz chaos progress-smoke benchdiff
 
+# perfbench is a nested module (replace => ../), so ./... never reaches it;
+# vet and build it on its own so a change that breaks the benchmark fails.
 vet:
 	$(GO) vet ./...
+	GOWORK=off $(GO) -C perfbench vet .
 
 # Repo-specific static analysis, all ten analyzers: determinism (simclock,
 # seededrand, maporder), span hygiene (spanend), pool discipline (poolpair),
@@ -22,6 +25,7 @@ lint:
 
 build:
 	$(GO) build ./...
+	GOWORK=off $(GO) -C perfbench build -o /dev/null .
 
 test:
 	$(GO) test ./...

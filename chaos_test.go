@@ -23,6 +23,7 @@ func chaosOpts(profile string) Options {
 // datasets, and stats. Any wall-clock leak or unseeded draw in the fault
 // plane or the breaker shows up here as a diff.
 func TestChaosDNSSoakDeterministic(t *testing.T) {
+	t.Parallel()
 	opts := chaosOpts("lossy-links")
 	first, err := RunDNS(context.Background(), opts)
 	if err != nil {
@@ -77,6 +78,7 @@ func TestChaosDNSSoakDeterministic(t *testing.T) {
 // hanging, report its error budget, and reproduce byte-identically under
 // the same seed.
 func TestChaosHTTPSoak(t *testing.T) {
+	t.Parallel()
 	opts := chaosOpts("slow-network")
 	render := func(r *HTTPRun) []byte {
 		var buf bytes.Buffer

@@ -39,6 +39,7 @@ func renderDNS(t *testing.T, r *DNSRun) []byte {
 // the simclock/seededrand analyzers: any time.Now or global-RNG call that
 // sneaks into the measurement path shows up here as a diff.
 func TestDNSRunDeterministic(t *testing.T) {
+	t.Parallel()
 	opts := Options{Seed: 20160413, Scale: 0.02, Workers: 1}
 	first, err := RunDNS(context.Background(), opts)
 	if err != nil {

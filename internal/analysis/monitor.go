@@ -43,10 +43,13 @@ func (a *MonAnalysis) Merge(b *MonAnalysis) {
 // MonSummary is the §7.2 headline.
 type MonSummary struct {
 	MeasuredNodes int
-	Monitored     int
-	MonitoredPct  float64
-	UniqueIPs     int
-	ASGroups      int
+	// ASes and Countries are the measured nodes' coverage (Table 2).
+	ASes         int
+	Countries    int
+	Monitored    int
+	MonitoredPct float64
+	UniqueIPs    int
+	ASGroups     int
 }
 
 // Summary computes headline counts.
@@ -54,7 +57,11 @@ func (a *MonAnalysis) Summary() MonSummary {
 	s := MonSummary{MeasuredNodes: len(a.DS.Observations)}
 	ips := map[netip.Addr]bool{}
 	groups := map[geo.ASN]bool{}
+	ases := map[geo.ASN]bool{}
+	countries := map[geo.CountryCode]bool{}
 	for _, o := range a.DS.Observations {
+		ases[o.ASN] = true
+		countries[o.Country] = true
 		if !o.Monitored() {
 			continue
 		}
@@ -66,6 +73,8 @@ func (a *MonAnalysis) Summary() MonSummary {
 	}
 	s.UniqueIPs = len(ips)
 	s.ASGroups = len(groups)
+	s.ASes = len(ases)
+	s.Countries = len(countries)
 	if s.MeasuredNodes > 0 {
 		s.MonitoredPct = 100 * float64(s.Monitored) / float64(s.MeasuredNodes)
 	}

@@ -41,18 +41,25 @@ func (a *SMTPAnalysis) Merge(b *SMTPAnalysis) {
 // SMTPSummary is the extension headline.
 type SMTPSummary struct {
 	MeasuredNodes int
-	Blocked       int
-	BlockedPct    float64
-	Stripped      int
-	StrippedPct   float64
-	StripperASes  int
+	// ASes and Countries are the measured nodes' coverage (Table 2).
+	ASes         int
+	Countries    int
+	Blocked      int
+	BlockedPct   float64
+	Stripped     int
+	StrippedPct  float64
+	StripperASes int
 }
 
 // Summary computes headline counts.
 func (a *SMTPAnalysis) Summary() SMTPSummary {
 	s := SMTPSummary{MeasuredNodes: len(a.DS.Observations)}
 	strippers := map[geo.ASN]bool{}
+	ases := map[geo.ASN]bool{}
+	countries := map[geo.CountryCode]bool{}
 	for _, o := range a.DS.Observations {
+		ases[o.ASN] = true
+		countries[o.Country] = true
 		switch {
 		case o.Blocked:
 			s.Blocked++
@@ -62,6 +69,8 @@ func (a *SMTPAnalysis) Summary() SMTPSummary {
 		}
 	}
 	s.StripperASes = len(strippers)
+	s.ASes = len(ases)
+	s.Countries = len(countries)
 	if s.MeasuredNodes > 0 {
 		s.BlockedPct = 100 * float64(s.Blocked) / float64(s.MeasuredNodes)
 		s.StrippedPct = 100 * float64(s.Stripped) / float64(s.MeasuredNodes)

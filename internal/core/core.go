@@ -2,7 +2,7 @@
 // techniques that turn a P2P HTTP/S proxy service into a large-scale
 // detector for end-to-end connectivity violations.
 //
-// Four experiment drivers mirror §4–§7:
+// Five experiment drivers mirror §4–§7 and the §3.4 extension:
 //
 //   - DNSExperiment: the d1/d2 NXDOMAIN-hijack probe, including the
 //     super-proxy resolver gate and the shared-anycast filter.
@@ -12,6 +12,14 @@
 //     against popular, international, and deliberately-invalid sites.
 //   - MonitorExperiment: unique per-node domains plus a 24-hour watch for
 //     unexpected third-party requests.
+//   - SMTPExperiment: port-25 blocking and STARTTLS stripping through an
+//     any-port tunnel service.
+//
+// All five run one probe pipeline (crawl, in pipeline.go): the §3.2
+// crawler's session sampling, zID dedup and stop rule, the §3.4 per-node
+// budget, and a single tally of every session's outcome. An experiment
+// contributes only its per-session probe and the run-wide state a measured
+// node updates.
 //
 // The drivers observe the world only through what the paper could see: the
 // proxy client's responses and debug headers, the authoritative DNS query
@@ -23,14 +31,12 @@ import (
 	"context"
 	"math/rand/v2"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/progress"
-	"github.com/tftproject/tft/internal/proxynet"
 	"github.com/tftproject/tft/internal/trace"
 )
 
@@ -107,7 +113,7 @@ type CrawlConfig struct {
 	// yielding a complete per-request trace tree. Nil disables tracing.
 	Tracer *trace.Tracer
 	// Progress, when non-nil, is the flight recorder: the crawler reports
-	// each issued probe and the drivers report per-shard outcomes into it,
+	// each issued probe and the pipeline reports per-shard outcomes into it,
 	// so a Sampler can expose live done/total, rates, and ETA while the
 	// crawl runs. Nil disables progress reporting.
 	Progress *progress.Tracker
@@ -173,7 +179,7 @@ func newCrawler(cfg CrawlConfig, weights map[geo.CountryCode]int, rng *rand.Rand
 		countries = append(countries, cc)
 	}
 	// Deterministic order for reproducible sampling.
-	sortCountries(countries)
+	slices.Sort(countries)
 	cum := make([]int, len(countries))
 	for i, cc := range countries {
 		total += weights[cc]
@@ -210,10 +216,6 @@ var probeSecondsBounds = []float64{
 // boundary is the default StopNewRate, so the lowest buckets show how the
 // crawl approached its stopping condition.
 var windowRateBounds = []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8}
-
-func sortCountries(cs []geo.CountryCode) {
-	slices.Sort(cs)
-}
 
 // next picks a country (weight-proportional) and a fresh session ID, or
 // reports that the crawl should stop. A cancelled ctx stops the crawl as
@@ -320,7 +322,7 @@ type Stats struct {
 	// or their real-world analogues). They are excluded from violation
 	// denominators — a reset mid-probe says nothing about the node's DNS or
 	// content path — and surfaced here as the run's error budget. Filled by
-	// the driver after the shard merge, not by the crawler.
+	// the pipeline's tally after the shard merge, not by the crawler.
 	Faulted int
 }
 
@@ -350,18 +352,6 @@ func (c *crawler) traceProbe(ctx context.Context, name string, cc geo.CountryCod
 		}
 		span.End()
 	}
-}
-
-// workers reports the resolved worker count — the number of shards a
-// sharded consumer of runWorkers must size its sinks for.
-func (c *crawler) workers() int { return c.cfg.Workers }
-
-// beginProgress announces the crawl to the flight recorder: the experiment
-// name, the node population (the ETA denominator — the service-reported
-// country weights the crawl works through), and the shard count. Drivers
-// call it once, right after newCrawler.
-func (c *crawler) beginProgress(experiment string) {
-	c.cfg.Progress.Begin(experiment, int64(c.totalW), c.cfg.Workers)
 }
 
 // runWorkers drives measure() from cfg.Workers goroutines until the crawl
@@ -394,68 +384,4 @@ func (c *crawler) runWorkers(ctx context.Context, measure func(shard int, cc geo
 		}(w)
 	}
 	wg.Wait()
-}
-
-// classifyFailure splits a failed probe between honest failure and
-// transport fault: the client's own error is checked first, then the
-// service-reported debug error (the super proxy stamps ErrPeerTransport
-// when the exit node's fetch died to a reset/stall/truncation). Faulted
-// probes are tallied into the run's error budget instead of the failure
-// count, so chaos does not masquerade as middlebox behaviour — and so
-// genuine failures are not hidden by it either.
-func classifyFailure(err error, dbg *proxynet.Debug) outcome {
-	if proxynet.IsTransportFault(err) {
-		return outcomeFault
-	}
-	if dbg != nil && dbg.Err == proxynet.ErrPeerTransport {
-		return outcomeFault
-	}
-	return outcomeFailed
-}
-
-// shardSink accumulates one worker shard's probe records and outcome
-// tallies. Each shard is written by exactly one worker goroutine, so the
-// hot path appends without locks; mergeShards reduces the partials after
-// the crawl.
-type shardSink[T any] struct {
-	obs     []T
-	tallies shardTallies
-}
-
-// shardTallies are the non-observation outcome counts a crawl accumulates.
-type shardTallies struct {
-	failures   int
-	duplicates int
-	discarded  int
-	faults     int
-}
-
-func (t *shardTallies) add(o shardTallies) {
-	t.failures += o.failures
-	t.duplicates += o.duplicates
-	t.discarded += o.discarded
-	t.faults += o.faults
-}
-
-// newShardSinks sizes one sink per worker shard.
-func newShardSinks[T any](workers int) []shardSink[T] {
-	return make([]shardSink[T], workers)
-}
-
-// mergeShards reduces per-shard partials into a single dataset: tallies
-// sum, and observations are concatenated then canonically ordered by zID.
-// Because the crawler dedups zIDs globally, the sort is a total order, so
-// the merged dataset is independent of worker count and scheduling.
-func mergeShards[T any](shards []shardSink[T], zid func(T) string) (obs []T, t shardTallies) {
-	n := 0
-	for i := range shards {
-		n += len(shards[i].obs)
-	}
-	obs = make([]T, 0, n)
-	for i := range shards {
-		obs = append(obs, shards[i].obs...)
-		t.add(shards[i].tallies)
-	}
-	slices.SortFunc(obs, func(a, b T) int { return strings.Compare(zid(a), zid(b)) })
-	return obs, t
 }

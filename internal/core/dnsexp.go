@@ -8,10 +8,8 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/origin"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 )
 
 // DNSObservation is one measured exit node's NXDOMAIN result (§4.1).
@@ -107,101 +105,29 @@ func (e *DNSExperiment) InstallRules(webIP netip.Addr) {
 
 // Run executes the crawl and returns the dataset.
 func (e *DNSExperiment) Run(ctx context.Context) (*DNSDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
-	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/dns"))
-	cr.beginProgress("dns")
-	prog := e.Crawl.Progress
-	ds := &DNSDataset{}
-	shards := newShardSinks[*DNSObservation](cr.workers())
-
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.dns", cc, sess)
-		obs, outcome := e.measure(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, outcome)
-		sink := &shards[shard]
-		switch outcome {
-		case outcomeOK:
-			prog.Done(shard)
-			if obs.SharedAnycast {
-				m.Counter("dns_shared_anycast_total").Inc()
-			}
-			if obs.Hijacked {
-				prog.Violation(shard)
-				m.Counter("dns_hijacked_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "dns_hijack"})
-			}
-			if e.Sink != nil {
-				e.Sink(shard, obs)
-			}
-			if !e.DiscardObservations {
-				sink.obs = append(sink.obs, obs)
-			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeDiscarded:
-			sink.tallies.discarded++
-			prog.Discard(shard)
-			m.Counter("crawl_discarded_total").Inc()
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
-	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *DNSObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Discarded, ds.Faults =
-		t.failures, t.duplicates, t.discarded, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
+	obs, t, st := crawl[*DNSObservation](ctx, crawlSpec{
+		name: "dns", seedLabel: "crawl/dns",
+		cfg: e.Crawl, weights: e.Weights, seed: e.Seed, budget: &e.Budget,
+		discarded: "crawl_discarded_total", violation: "dns_hijacked_total", detail: "dns_hijack",
+		drop: e.DiscardObservations,
+	}, e)
+	return &DNSDataset{Observations: obs, Crawl: st,
+		Failures: t[outcomeFailed], Duplicates: t[outcomeDuplicate],
+		Discarded: t[outcomeDiscarded], Faults: t[outcomeFault]}, ctx.Err()
 }
 
-type outcome int
+func (o *DNSObservation) node() (string, geo.CountryCode) { return o.ZID, o.Country }
 
-const (
-	outcomeOK outcome = iota
-	outcomeFailed
-	outcomeDuplicate
-	outcomeDiscarded
-	// outcomeFault: the probe died to a transport-layer fault rather than
-	// anything the node's path did — counted into the error budget, never
-	// the failure or violation tallies.
-	outcomeFault
-)
-
-// String names the outcome for span attributes and event filters.
-func (o outcome) String() string {
-	switch o {
-	case outcomeOK:
-		return "ok"
-	case outcomeFailed:
-		return "failed"
-	case outcomeDuplicate:
-		return "duplicate"
-	case outcomeDiscarded:
-		return "discarded"
-	case outcomeFault:
-		return "faulted"
+// commit counts shared-anycast nodes and streams the node to the Sink; a
+// hijacked NXDOMAIN is the violation.
+func (e *DNSExperiment) commit(shard int, o *DNSObservation) bool {
+	if o.SharedAnycast {
+		e.Crawl.Metrics.Counter("dns_shared_anycast_total").Inc()
 	}
-	return "unknown"
+	if e.Sink != nil {
+		e.Sink(shard, o)
+	}
+	return o.Hijacked
 }
 
 // measure runs the three-step §4.1 probe through one session.
@@ -223,11 +149,11 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 	// Step 2: fetch d1; the node's resolver must answer, and both our DNS
 	// and web logs light up.
 	resp1, dbg1, err := e.Client.Get(ctx, opts, "http://"+d1+"/")
-	if err != nil || dbg1 == nil || dbg1.ZID == "" || dbg1.Err != "" {
+	if err != nil || dbg1 == nil || dbg1.Err != "" {
 		return nil, classifyFailure(err, dbg1)
 	}
-	if !cr.observe(dbg1.ZID) {
-		return nil, outcomeDuplicate
+	if oc := cr.identify(dbg1.ZID); oc != outcomeOK {
+		return nil, oc
 	}
 	obs := &DNSObservation{ZID: dbg1.ZID}
 
@@ -237,10 +163,7 @@ func (e *DNSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 		return nil, outcomeFailed
 	}
 	obs.NodeIP = reqs[0].Src
-	if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-		obs.ASN = asn
-		obs.Country, _ = e.Geo.Country(asn)
-	}
+	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 
 	// The node's resolver egress comes from the DNS log: drop one query
 	// from the super proxy's own resolution, and what remains is the

@@ -12,9 +12,7 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 )
 
 // ObjectOutcome classifies what came back for one measurement object.
@@ -127,101 +125,66 @@ func (e *HTTPExperiment) InstallRules(webIP netip.Addr) {
 
 // Run executes the crawl.
 func (e *HTTPExperiment) Run(ctx context.Context) (*HTTPDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
 	if e.PerASQuota <= 0 {
 		e.PerASQuota = 3
 	}
-	kinds := e.Kinds
-	if kinds == nil {
-		kinds = content.Kinds
+	p := &httpProbe{HTTPExperiment: e, kinds: e.Kinds,
+		asCount: make(map[geo.ASN]int), asFlagged: make(map[geo.ASN]bool)}
+	if p.kinds == nil {
+		p.kinds = content.Kinds
 	}
-	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/http"))
-	cr.beginProgress("http")
-	prog := e.Crawl.Progress
-	ds := &HTTPDataset{}
-	shards := newShardSinks[*HTTPObservation](cr.workers())
-	// The AS sampling quota is inherently global — every shard consults it
-	// before fully measuring a node — so it stays behind a mutex while the
-	// dataset accumulation streams lock-free into per-shard sinks.
-	var mu sync.Mutex
-	asCount := make(map[geo.ASN]int)
-	asFlagged := make(map[geo.ASN]bool)
+	obs, t, st := crawl[*HTTPObservation](ctx, crawlSpec{
+		name: "http", seedLabel: "crawl/http",
+		cfg: e.Crawl, weights: e.Weights, seed: e.Seed, budget: &e.Budget,
+		discarded: "http_quota_skipped_total", violation: "http_modified_total", detail: "http_modified",
+	}, p)
+	return &HTTPDataset{Observations: obs, Crawl: st,
+		Failures: t[outcomeFailed], Duplicates: t[outcomeDuplicate],
+		SkippedQuota: t[outcomeDiscarded], Faults: t[outcomeFault]}, ctx.Err()
+}
 
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.http", cc, sess)
-		obs, oc := e.measure(pctx, cr, cc, sess, kinds, &mu, asCount, asFlagged)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-			for _, res := range obs.Objects {
-				m.Labeled("http_object_outcomes").Inc(res.Outcome.String())
-			}
-			mu.Lock()
-			asCount[obs.ASN]++
-			if obs.AnyModified() {
-				asFlagged[obs.ASN] = true
-			}
-			mu.Unlock()
-			if obs.AnyModified() {
-				prog.Violation(shard)
-				m.Counter("http_modified_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "http_modified"})
-			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeDiscarded:
-			sink.tallies.discarded++
-			prog.Discard(shard)
-			m.Counter("http_quota_skipped_total").Inc()
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
-	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *HTTPObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.SkippedQuota, ds.Faults =
-		t.failures, t.duplicates, t.discarded, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
+func (o *HTTPObservation) node() (string, geo.CountryCode) { return o.ZID, o.Country }
+
+// httpProbe is one HTTP crawl's probe and its AS sampling quota (§5.1).
+type httpProbe struct {
+	*HTTPExperiment
+	kinds []content.Kind
+	// The quota is inherently global — every shard consults it before
+	// fully measuring a node — so it stays behind a mutex.
+	mu        sync.Mutex
+	asCount   map[geo.ASN]int
+	asFlagged map[geo.ASN]bool
+}
+
+// commit counts the node's object outcomes and its AS's sample; any
+// modified object is the violation and flags the AS for full measurement.
+func (p *httpProbe) commit(_ int, o *HTTPObservation) bool {
+	outcomes := p.Crawl.Metrics.Labeled("http_object_outcomes")
+	for _, res := range o.Objects {
+		outcomes.Inc(res.Outcome.String())
+	}
+	modified := o.AnyModified()
+	p.mu.Lock()
+	p.asCount[o.ASN]++
+	if modified {
+		p.asFlagged[o.ASN] = true
+	}
+	p.mu.Unlock()
+	return modified
 }
 
 // measure fetches the four objects through one node.
-func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string,
-	kinds []content.Kind, mu *sync.Mutex, asCount map[geo.ASN]int, asFlagged map[geo.ASN]bool) (*HTTPObservation, outcome) {
-
+func (p *httpProbe) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*HTTPObservation, outcome) {
 	opts := proxynet.Options{Country: cc, Session: sess}
 	obs := &HTTPObservation{}
 	for i := range obs.Objects {
 		obs.Objects[i].Outcome = ObjError
 	}
 
-	for idx, k := range kinds {
-		host := httpPrefix + sess + "-" + strconv.Itoa(idx) + "." + e.Zone
-		resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+k.Path())
-		if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {
+	for idx, k := range p.kinds {
+		host := httpPrefix + sess + "-" + strconv.Itoa(idx) + "." + p.Zone
+		resp, dbg, err := p.Client.Get(ctx, opts, "http://"+host+k.Path())
+		if err != nil || dbg == nil || dbg.Err != "" {
 			oc := classifyFailure(err, dbg)
 			if oc == outcomeFault {
 				// A transport fault mid-measurement would leave ObjError
@@ -235,20 +198,17 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 			continue
 		}
 		if idx == 0 {
-			if !cr.observe(dbg.ZID) {
-				return nil, outcomeDuplicate
+			if oc := cr.identify(dbg.ZID); oc != outcomeOK {
+				return nil, oc
 			}
 			obs.ZID = dbg.ZID
 			obs.NodeIP = dbg.NodeIP
-			if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-				obs.ASN = asn
-				obs.Country, _ = e.Geo.Country(asn)
-			}
+			obs.ASN, obs.Country = locate(p.Geo, obs.NodeIP)
 			// The bandwidth-minimizing strategy: skip fully measuring
 			// ASes that already gave 3 clean samples (§5.1).
-			mu.Lock()
-			skip := asCount[obs.ASN] >= e.PerASQuota && !asFlagged[obs.ASN]
-			mu.Unlock()
+			p.mu.Lock()
+			skip := p.asCount[obs.ASN] >= p.PerASQuota && !p.asFlagged[obs.ASN]
+			p.mu.Unlock()
 			if skip {
 				return nil, outcomeDiscarded
 			}
@@ -256,7 +216,7 @@ func (e *HTTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.Countr
 			// Node switched mid-measurement; keep what we have.
 			continue
 		}
-		if !e.Budget.Charge(obs.ZID, len(resp.Body)) {
+		if !p.Budget.Charge(obs.ZID, len(resp.Body)) {
 			break
 		}
 		obs.Objects[int(k)] = classify(k, resp.StatusCode, resp.Body)

@@ -93,53 +93,16 @@ func (e *MonitorExperiment) InstallRules(webIP netip.Addr) {
 // Run crawls, waits out the watch window on the virtual clock, then
 // collects the unexpected requests.
 func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
 	if e.Watch <= 0 {
 		e.Watch = 24 * time.Hour
 	}
-	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/mon"))
-	cr.beginProgress("monitor")
-	prog := e.Crawl.Progress
-	ds := &MonDataset{}
-	shards := newShardSinks[*MonObservation](cr.workers())
-
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.monitor", cc, sess)
-		obs, oc := e.fetch(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
-	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *MonObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Faults = t.failures, t.duplicates, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
+	obs, t, st := crawl[*MonObservation](ctx, crawlSpec{
+		name: "monitor", seedLabel: "crawl/mon",
+		cfg: e.Crawl, weights: e.Weights, seed: e.Seed, budget: &e.Budget,
+	}, e)
+	ds := &MonDataset{Observations: obs, Crawl: st,
+		Failures: t[outcomeFailed], Duplicates: t[outcomeDuplicate],
+		Faults: t[outcomeFault]}
 
 	// Monitors schedule their refetches on the virtual clock; advancing
 	// past the watch window delivers every one that falls inside it.
@@ -150,35 +113,35 @@ func (e *MonitorExperiment) Run(ctx context.Context) (*MonDataset, error) {
 		if obs.Monitored() {
 			// The watch-window collection runs after the crawl, outside any
 			// worker shard; violations land on shard 0.
-			prog.Violation(0)
-			m.Counter("monitor_monitored_total").Inc()
-			m.Counter("monitor_unexpected_requests_total").Add(int64(len(obs.Unexpected)))
-			m.Record(metrics.Event{Kind: metrics.EventViolation,
+			e.Crawl.violation(0, "monitor_monitored_total", metrics.Event{
 				ZID: obs.ZID, Country: string(obs.Country), Detail: "monitored",
 				Value: float64(len(obs.Unexpected))})
+			e.Crawl.Metrics.Counter("monitor_unexpected_requests_total").Add(int64(len(obs.Unexpected)))
 		}
 	}
 	return ds, ctx.Err()
 }
 
-// fetch issues the single request for a node's unique domain.
-func (e *MonitorExperiment) fetch(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*MonObservation, outcome) {
+func (o *MonObservation) node() (string, geo.CountryCode) { return o.ZID, o.Country }
+
+// commit has nothing to fold in: monitoring shows only after the watch.
+func (e *MonitorExperiment) commit(int, *MonObservation) bool { return false }
+
+// measure issues the single request for a node's unique domain.
+func (e *MonitorExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*MonObservation, outcome) {
 	host := monPrefix + sess + "." + e.Zone
 	opts := proxynet.Options{Country: cc, Session: sess}
 	at := e.Clock.Now()
 	resp, dbg, err := e.Client.Get(ctx, opts, "http://"+host+"/")
-	if err != nil || dbg == nil || dbg.ZID == "" || dbg.Err != "" {
+	if err != nil || dbg == nil || dbg.Err != "" {
 		return nil, classifyFailure(err, dbg)
 	}
-	if !cr.observe(dbg.ZID) {
-		return nil, outcomeDuplicate
+	if oc := cr.identify(dbg.ZID); oc != outcomeOK {
+		return nil, oc
 	}
 	e.Budget.Charge(dbg.ZID, len(resp.Body))
 	obs := &MonObservation{ZID: dbg.ZID, NodeIP: dbg.NodeIP, Host: host, RequestAt: at}
-	if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-		obs.ASN = asn
-		obs.Country, _ = e.Geo.Country(asn)
-	}
+	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 	return obs, outcomeOK
 }
 

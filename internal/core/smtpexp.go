@@ -6,9 +6,7 @@ import (
 	"net/netip"
 
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/proxynet"
-	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/smtpwire"
 )
 
@@ -62,71 +60,41 @@ type SMTPExperiment struct {
 
 // Run executes the crawl.
 func (e *SMTPExperiment) Run(ctx context.Context) (*SMTPDataset, error) {
-	m := e.Crawl.Metrics
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/smtp"))
-	cr.beginProgress("smtp")
-	prog := e.Crawl.Progress
-	ds := &SMTPDataset{}
-	shards := newShardSinks[*SMTPObservation](cr.workers())
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.smtp", cc, sess)
-		obs, oc := e.measure(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-			if obs.Blocked {
-				m.Counter("smtp_blocked_total").Inc()
-			} else if !obs.StartTLS {
-				prog.Violation(shard)
-				m.Counter("smtp_stripped_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "smtp_starttls_stripped"})
-			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
-	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *SMTPObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Faults = t.failures, t.duplicates, t.faults
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
+	obs, t, st := crawl[*SMTPObservation](ctx, crawlSpec{
+		name: "smtp", seedLabel: "crawl/smtp",
+		cfg: e.Crawl, weights: e.Weights, seed: e.Seed,
+		violation: "smtp_stripped_total", detail: "smtp_starttls_stripped",
+	}, e)
+	return &SMTPDataset{Observations: obs, Crawl: st,
+		Failures: t[outcomeFailed], Duplicates: t[outcomeDuplicate],
+		Faults: t[outcomeFault]}, ctx.Err()
+}
+
+func (o *SMTPObservation) node() (string, geo.CountryCode) { return o.ZID, o.Country }
+
+// commit counts port-25 blocking; a reachable server whose STARTTLS
+// capability did not survive the path is the violation.
+func (e *SMTPExperiment) commit(_ int, o *SMTPObservation) bool {
+	if o.Blocked {
+		e.Crawl.Metrics.Counter("smtp_blocked_total").Inc()
+		return false
+	}
+	return !o.StartTLS
 }
 
 // measure opens one tunnel to port 25 and runs the SMTP session prefix.
 func (e *SMTPExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*SMTPObservation, outcome) {
 	opts := proxynet.Options{Country: cc, Session: sess}
 	conn, dbg, err := e.Client.Connect(ctx, opts, fmt.Sprintf("%s:25", e.MailIP))
-	if err != nil || dbg == nil || dbg.ZID == "" {
+	if err != nil || dbg == nil {
 		return nil, classifyFailure(err, dbg)
 	}
 	defer conn.Close()
-	if !cr.observe(dbg.ZID) {
-		return nil, outcomeDuplicate
+	if oc := cr.identify(dbg.ZID); oc != outcomeOK {
+		return nil, oc
 	}
 	obs := &SMTPObservation{ZID: dbg.ZID, NodeIP: dbg.NodeIP}
-	if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-		obs.ASN = asn
-		obs.Country, _ = e.Geo.Country(asn)
-	}
+	obs.ASN, obs.Country = locate(e.Geo, obs.NodeIP)
 	session, err := smtpwire.Probe(conn, e.MailHost)
 	if err != nil {
 		// The tunnel died before a banner: the node's ISP blocks the port.

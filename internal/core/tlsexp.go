@@ -9,7 +9,6 @@ import (
 
 	"github.com/tftproject/tft/internal/cert"
 	"github.com/tftproject/tft/internal/geo"
-	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/proxynet"
 	"github.com/tftproject/tft/internal/simnet"
 	"github.com/tftproject/tft/internal/tlssim"
@@ -123,95 +122,59 @@ type TLSExperiment struct {
 	Now func() time.Time
 	// AlwaysFullScan disables the two-phase optimization (ablation).
 	AlwaysFullScan bool
-
-	probes *int64
 }
 
 // Run executes the crawl.
 func (e *TLSExperiment) Run(ctx context.Context) (*TLSDataset, error) {
-	if e.Budget == nil {
-		e.Budget = NewBudget(0)
-	}
-	m := e.Crawl.Metrics
-	if e.Budget.Metrics == nil {
-		e.Budget.Metrics = m
-	}
-	cr := newCrawler(e.Crawl, e.Weights, simnet.SubRand(e.Seed, "crawl/tls"))
-	cr.beginProgress("tls")
-	prog := e.Crawl.Progress
-	ds := &TLSDataset{}
-	e.probes = &ds.Probes
-	shards := newShardSinks[*TLSObservation](cr.workers())
+	p := &tlsProbe{TLSExperiment: e}
+	obs, t, st := crawl[*TLSObservation](ctx, crawlSpec{
+		name: "tls", seedLabel: "crawl/tls",
+		cfg: e.Crawl, weights: e.Weights, seed: e.Seed, budget: &e.Budget,
+		discarded: "crawl_discarded_total", violation: "tls_replaced_total", detail: "tls_cert_replaced",
+	}, p)
+	probes := p.probes.Load()
+	e.Crawl.Metrics.Counter("tls_probes_total").Add(probes)
+	return &TLSDataset{Observations: obs, Crawl: st,
+		Failures: t[outcomeFailed], Duplicates: t[outcomeDuplicate],
+		Discarded: t[outcomeDiscarded], Faults: t[outcomeFault],
+		Probes: probes}, ctx.Err()
+}
 
-	cr.runWorkers(ctx, func(shard int, cc geo.CountryCode, sess string) {
-		pctx, done := cr.traceProbe(ctx, "probe.tls", cc, sess)
-		obs, oc := e.measure(pctx, cr, cc, sess)
-		zid := ""
-		if obs != nil {
-			zid = obs.ZID
-		}
-		done(zid, oc)
-		sink := &shards[shard]
-		switch oc {
-		case outcomeOK:
-			prog.Done(shard)
-			sink.obs = append(sink.obs, obs)
-			if obs.Phase2 {
-				m.Counter("tls_phase2_total").Inc()
-			}
-			if obs.AnyReplaced() {
-				prog.Violation(shard)
-				m.Counter("tls_replaced_total").Inc()
-				m.Record(metrics.Event{Kind: metrics.EventViolation,
-					Session: sess, ZID: obs.ZID, Country: string(obs.Country),
-					Detail: "tls_cert_replaced"})
-			}
-		case outcomeFailed:
-			sink.tallies.failures++
-			prog.Fail(shard)
-			m.Counter("crawl_failures_total").Inc()
-		case outcomeDuplicate:
-			sink.tallies.duplicates++
-			prog.Duplicate(shard)
-		case outcomeDiscarded:
-			sink.tallies.discarded++
-			prog.Discard(shard)
-			m.Counter("crawl_discarded_total").Inc()
-		case outcomeFault:
-			sink.tallies.faults++
-			prog.Fault(shard)
-			m.Counter("fault_probes_total").Inc()
-		}
-	})
-	var t shardTallies
-	ds.Observations, t = mergeShards(shards, func(o *TLSObservation) string { return o.ZID })
-	ds.Failures, ds.Duplicates, ds.Discarded, ds.Faults =
-		t.failures, t.duplicates, t.discarded, t.faults
-	m.Counter("tls_probes_total").Add(ds.Probes)
-	ds.Crawl = cr.stats()
-	ds.Crawl.Faulted = t.faults
-	return ds, ctx.Err()
+func (o *TLSObservation) node() (string, geo.CountryCode) { return o.ZID, o.Country }
+
+// tlsProbe is one TLS crawl's probe and its count of CONNECT tunnels.
+type tlsProbe struct {
+	*TLSExperiment
+	probes atomic.Int64
+}
+
+// commit counts full scans; a replaced chain on any site is the violation.
+func (p *tlsProbe) commit(_ int, o *TLSObservation) bool {
+	if o.Phase2 {
+		p.Crawl.Metrics.Counter("tls_phase2_total").Inc()
+	}
+	return o.AnyReplaced()
 }
 
 // measure performs the two-phase scan (§6.1, Figure 3) through one node.
-func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*TLSObservation, outcome) {
-	popular := e.Targets.Popular[cc]
+func (p *tlsProbe) measure(ctx context.Context, cr *crawler, cc geo.CountryCode, sess string) (*TLSObservation, outcome) {
+	popular := p.Targets.Popular[cc]
 	if len(popular) == 0 {
 		// No usable ranking for this country (the reason the experiment
 		// covers 115 countries, §6.2).
 		return nil, outcomeFailed
 	}
-	rng := simnet.SubRand(e.Seed, "tls/"+sess)
+	rng := simnet.SubRand(p.Seed, "tls/"+sess)
 	phase1 := []TLSSite{
 		popular[rng.IntN(len(popular))],
-		e.Targets.Universities[rng.IntN(len(e.Targets.Universities))],
-		e.Targets.Invalid[rng.IntN(len(e.Targets.Invalid))],
+		p.Targets.Universities[rng.IntN(len(p.Targets.Universities))],
+		p.Targets.Invalid[rng.IntN(len(p.Targets.Invalid))],
 	}
 	opts := proxynet.Options{Country: cc, Session: sess}
 	obs := &TLSObservation{}
 
 	for i, site := range phase1 {
-		res, dbg, err := e.probe(ctx, opts, site)
+		res, dbg, err := p.probe(ctx, opts, site)
 		if err != nil {
 			if i == 0 {
 				return nil, classifyFailure(err, dbg)
@@ -219,22 +182,19 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 			res = SiteResult{Host: site.Host, Class: site.Class, Err: err.Error()}
 		}
 		if i == 0 {
-			if !cr.observe(dbg.ZID) {
-				return nil, outcomeDuplicate
+			if oc := cr.identify(dbg.ZID); oc != outcomeOK {
+				return nil, oc
 			}
 			obs.ZID = dbg.ZID
 			obs.NodeIP = dbg.NodeIP
-			if asn, ok := e.Geo.LookupAS(obs.NodeIP); ok {
-				obs.ASN = asn
-				obs.Country, _ = e.Geo.Country(asn)
-			}
+			obs.ASN, obs.Country = locate(p.Geo, obs.NodeIP)
 		} else if dbg != nil && dbg.ZID != obs.ZID {
 			return obs, outcomeDiscarded
 		}
 		obs.Sites = append(obs.Sites, res)
 	}
 
-	if obs.AnyReplaced() || e.AlwaysFullScan {
+	if obs.AnyReplaced() || p.AlwaysFullScan {
 		obs.Phase2 = true
 		probed := map[string]bool{}
 		for _, s := range obs.Sites {
@@ -242,13 +202,13 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 		}
 		full := make([]TLSSite, 0, 33)
 		full = append(full, popular...)
-		full = append(full, e.Targets.Universities...)
-		full = append(full, e.Targets.Invalid...)
+		full = append(full, p.Targets.Universities...)
+		full = append(full, p.Targets.Invalid...)
 		for _, site := range full {
 			if probed[site.Host] {
 				continue
 			}
-			res, dbg, err := e.probe(ctx, opts, site)
+			res, dbg, err := p.probe(ctx, opts, site)
 			if err != nil {
 				res = SiteResult{Host: site.Host, Class: site.Class, Err: err.Error()}
 			} else if dbg.ZID != obs.ZID {
@@ -261,12 +221,10 @@ func (e *TLSExperiment) measure(ctx context.Context, cr *crawler, cc geo.Country
 }
 
 // probe collects and judges one site's chain through the tunnel.
-func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site TLSSite) (SiteResult, *proxynet.Debug, error) {
+func (p *tlsProbe) probe(ctx context.Context, opts proxynet.Options, site TLSSite) (SiteResult, *proxynet.Debug, error) {
 	res := SiteResult{Host: site.Host, Class: site.Class}
-	if e.probes != nil {
-		atomic.AddInt64(e.probes, 1)
-	}
-	conn, dbg, err := e.Client.Connect(ctx, opts, site.IP.String()+":443")
+	p.probes.Add(1)
+	conn, dbg, err := p.Client.Connect(ctx, opts, site.IP.String()+":443")
 	if err != nil {
 		return res, dbg, err
 	}
@@ -275,14 +233,14 @@ func (e *TLSExperiment) probe(ctx context.Context, opts proxynet.Options, site T
 	if err != nil {
 		return res, dbg, err
 	}
-	e.Budget.Charge(dbg.ZID, len(cert.MarshalChain(chain)))
+	p.Budget.Charge(dbg.ZID, len(cert.MarshalChain(chain)))
 	if len(chain) == 0 {
 		return res, dbg, fmt.Errorf("empty chain")
 	}
 	leaf := chain[0]
 	res.IssuerCN = leaf.Issuer.CommonName
 	res.LeafKey = leaf.PublicKey
-	res.ChainValid = e.Trust.Verify(site.Host, chain, e.Now()) == nil
+	res.ChainValid = p.Trust.Verify(site.Host, chain, p.Now()) == nil
 	switch site.Class {
 	case SiteInvalid:
 		// Exact-match check: the team knows exactly which certificate it

@@ -74,19 +74,8 @@ func WriteDNS(w io.Writer, seed uint64, scale float64, ds *core.DNSDataset) erro
 
 // ReadDNS loads a DNS dataset.
 func ReadDNS(r io.Reader) (*Header, *core.DNSDataset, error) {
-	h, dec, err := readHeader(r, "dns")
-	if err != nil {
-		return nil, nil, err
-	}
 	ds := &core.DNSDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec dnsRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	h, err := readRecords(r, "dns", func(rec *dnsRecord) {
 		o := &core.DNSObservation{
 			ZID: rec.ZID, ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country),
 			SharedAnycast: rec.SharedAnycast, Hijacked: rec.Hijacked,
@@ -95,6 +84,9 @@ func ReadDNS(r io.Reader) (*Header, *core.DNSDataset, error) {
 		o.NodeIP = parseAddr(rec.NodeIP)
 		o.ResolverIP = parseAddr(rec.ResolverIP)
 		ds.Observations = append(ds.Observations, o)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return h, ds, nil
 }
@@ -139,19 +131,8 @@ func WriteHTTP(w io.Writer, seed uint64, scale float64, ds *core.HTTPDataset) er
 
 // ReadHTTP loads an HTTP dataset.
 func ReadHTTP(r io.Reader) (*Header, *core.HTTPDataset, error) {
-	h, dec, err := readHeader(r, "http")
-	if err != nil {
-		return nil, nil, err
-	}
 	ds := &core.HTTPDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec httpRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	h, err := readRecords(r, "http", func(rec *httpRecord) {
 		o := &core.HTTPObservation{ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country)}
 		for k, obj := range rec.Objects {
@@ -164,6 +145,9 @@ func ReadHTTP(r io.Reader) (*Header, *core.HTTPDataset, error) {
 			}
 		}
 		ds.Observations = append(ds.Observations, o)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return h, ds, nil
 }
@@ -213,19 +197,8 @@ func WriteTLS(w io.Writer, seed uint64, scale float64, ds *core.TLSDataset) erro
 
 // ReadTLS loads a TLS dataset.
 func ReadTLS(r io.Reader) (*Header, *core.TLSDataset, error) {
-	h, dec, err := readHeader(r, "tls")
-	if err != nil {
-		return nil, nil, err
-	}
 	ds := &core.TLSDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec tlsRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	h, err := readRecords(r, "tls", func(rec *tlsRecord) {
 		o := &core.TLSObservation{ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country), Phase2: rec.Phase2}
 		for _, s := range rec.Sites {
@@ -237,6 +210,9 @@ func ReadTLS(r io.Reader) (*Header, *core.TLSDataset, error) {
 			o.Sites = append(o.Sites, sr)
 		}
 		ds.Observations = append(ds.Observations, o)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return h, ds, nil
 }
@@ -287,19 +263,8 @@ func WriteMonitor(w io.Writer, seed uint64, scale float64, ds *core.MonDataset) 
 
 // ReadMonitor loads a monitoring dataset.
 func ReadMonitor(r io.Reader) (*Header, *core.MonDataset, error) {
-	h, dec, err := readHeader(r, "monitor")
-	if err != nil {
-		return nil, nil, err
-	}
 	ds := &core.MonDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec monRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	h, err := readRecords(r, "monitor", func(rec *monRecord) {
 		o := &core.MonObservation{ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country),
 			Host: rec.Host, RequestAt: rec.RequestAt, ViaVPN: rec.ViaVPN, OwnSrc: parseAddr(rec.OwnSrc)}
@@ -310,6 +275,9 @@ func ReadMonitor(r io.Reader) (*Header, *core.MonDataset, error) {
 			})
 		}
 		ds.Observations = append(ds.Observations, o)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return h, ds, nil
 }
@@ -343,26 +311,39 @@ func WriteSMTP(w io.Writer, seed uint64, scale float64, ds *core.SMTPDataset) er
 
 // ReadSMTP loads an SMTP-extension dataset.
 func ReadSMTP(r io.Reader) (*Header, *core.SMTPDataset, error) {
-	h, dec, err := readHeader(r, "smtp")
-	if err != nil {
-		return nil, nil, err
-	}
 	ds := &core.SMTPDataset{}
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec smtpRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: record %d: %w", i, err)
-		}
+	h, err := readRecords(r, "smtp", func(rec *smtpRecord) {
 		ds.Observations = append(ds.Observations, &core.SMTPObservation{
 			ZID: rec.ZID, NodeIP: parseAddr(rec.NodeIP),
 			ASN: geo.ASN(rec.ASN), Country: geo.CountryCode(rec.Country),
 			Blocked: rec.Blocked, StartTLS: rec.StartTLS, Banner: rec.Banner,
 		})
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return h, ds, nil
+}
+
+// readRecords reads a dataset file of experiment's records: the header,
+// then each record, decoded and handed to add. A stream announcing
+// StreamRecords ends at EOF.
+func readRecords[R any](r io.Reader, experiment string, add func(rec *R)) (*Header, error) {
+	h, dec, err := readHeader(r, experiment)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; h.Records < 0 || i < h.Records; i++ {
+		var rec R
+		if err := dec.Decode(&rec); err != nil {
+			if h.Records < 0 && errors.Is(err, io.EOF) {
+				break
+			}
+			return nil, fmt.Errorf("dataset: %s record %d: %w", experiment, i, err)
+		}
+		add(&rec)
+	}
+	return h, nil
 }
 
 // readHeader decodes and validates the header line.
@@ -478,21 +459,10 @@ func WriteGeo(w io.Writer, seed uint64, scale float64, reg *geo.Registry) error 
 
 // ReadGeo rebuilds a registry from a snapshot file.
 func ReadGeo(r io.Reader) (*Header, *geo.Registry, error) {
-	h, dec, err := readHeader(r, "geo")
-	if err != nil {
-		return nil, nil, err
-	}
 	var orgs []geo.SnapshotOrg
 	var ases []geo.SnapshotAS
 	var prefixes []geo.SnapshotPrefix
-	for i := 0; h.Records < 0 || i < h.Records; i++ {
-		var rec geoRecord
-		if err := dec.Decode(&rec); err != nil {
-			if h.Records < 0 && errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, nil, fmt.Errorf("dataset: geo record %d: %w", i, err)
-		}
+	h, err := readRecords(r, "geo", func(rec *geoRecord) {
 		switch {
 		case rec.Org != nil:
 			orgs = append(orgs, *rec.Org)
@@ -501,6 +471,9 @@ func ReadGeo(r io.Reader) (*Header, *geo.Registry, error) {
 		case rec.Prefix != nil:
 			prefixes = append(prefixes, *rec.Prefix)
 		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	reg, err := geo.FromSnapshot(orgs, ases, prefixes)
 	if err != nil {

@@ -17,7 +17,7 @@ func BuildHTTPWorld(seed uint64, scale float64) (*World, error) {
 	}
 	b := &httpBuilder{World: w,
 		total:  make(map[geo.CountryCode]int),
-		asPool: make(map[geo.CountryCode]*asPool),
+		bgASes: newBgASes(w, httpASCapacity),
 	}
 	b.buildRimon()
 	b.buildInjectors()
@@ -29,28 +29,13 @@ func BuildHTTPWorld(seed uint64, scale float64) (*World, error) {
 
 type httpBuilder struct {
 	*World
-	total  map[geo.CountryCode]int
-	asPool map[geo.CountryCode]*asPool
+	total map[geo.CountryCode]int
+	bgASes
 }
 
 // httpASCapacity keeps the HTTP world's AS structure near the paper's (~4
 // measured nodes per AS).
 const httpASCapacity = 4
-
-func (b *httpBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= httpASCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
-}
 
 // addHTTPNode creates a node with an honest resolver and the given path.
 func (b *httpBuilder) addHTTPNode(cc geo.CountryCode, asn geo.ASN, path *middlebox.Path, truthLabel, imageISP string) {

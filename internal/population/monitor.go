@@ -26,7 +26,7 @@ func BuildMonitorWorld(seed uint64, scale float64) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &monBuilder{World: w, asPool: make(map[geo.CountryCode]*asPool)}
+	b := &monBuilder{World: w, bgASes: newBgASes(w, monASCapacity)}
 	for i := range Table9 {
 		b.buildGroup(&Table9[i])
 	}
@@ -37,26 +37,11 @@ func BuildMonitorWorld(seed uint64, scale float64) (*World, error) {
 
 type monBuilder struct {
 	*World
-	asPool map[geo.CountryCode]*asPool
-	total  int
+	bgASes
+	total int
 }
 
 const monASCapacity = 74
-
-func (b *monBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= monASCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
-}
 
 // refetchFunc builds the middlebox.Env Refetch implementation: the monitor
 // fetches http://host+path from one of its own addresses, now or later on

@@ -60,7 +60,7 @@ func BuildTLSWorld(seed uint64, scale float64) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &tlsBuilder{World: w, asPool: make(map[geo.CountryCode]*asPool)}
+	b := &tlsBuilder{World: w, bgASes: newBgASes(w, tlsASCapacity)}
 	// 115 countries had usable Alexa rankings (§6.2 footnote). Russia must
 	// be among them: the Cloudguard malware population is pinned there.
 	b.countries = b.pickCountries(TLSTotalCountries, nil)
@@ -85,26 +85,11 @@ type tlsBuilder struct {
 	*World
 	countries []geo.CountryCode
 	sites     *SiteRegistry
-	asPool    map[geo.CountryCode]*asPool
-	total     int
+	bgASes
+	total int
 }
 
 const tlsASCapacity = 81 // ~808k nodes over ~10k ASes
-
-func (b *tlsBuilder) bgAS(cc geo.CountryCode) geo.ASN {
-	p := b.asPool[cc]
-	if p == nil {
-		p = &asPool{}
-		b.asPool[cc] = p
-	}
-	if len(p.asns) == 0 || p.used >= tlsASCapacity {
-		org := b.newOrg("", cc)
-		p.asns = append(p.asns, b.newAS(org, false))
-		p.used = 0
-	}
-	p.used++
-	return p.asns[len(p.asns)-1]
-}
 
 // registerSite issues a certificate, registers the HTTPS host, and indexes
 // the site. Sites with an AltChain rotate between the two chains across

@@ -187,6 +187,42 @@ func (w *World) scaledBg(n int) int {
 	return int(float64(n)*w.Scale + 0.5)
 }
 
+// bgASes hands out a builder's background ASes per country, rolling to a
+// new AS every capacity nodes so the world's AS count tracks the paper's
+// (~74 nodes per AS in the DNS world).
+type bgASes struct {
+	w        *World
+	capacity int
+	pools    map[geo.CountryCode]*asPool
+}
+
+// asPool is one country's background ASes and the node count on the
+// newest.
+type asPool struct {
+	asns []geo.ASN
+	used int
+}
+
+func newBgASes(w *World, capacity int) bgASes {
+	return bgASes{w: w, capacity: capacity, pools: make(map[geo.CountryCode]*asPool)}
+}
+
+// bgAS returns a background AS for a country, creating orgs/ASes on demand.
+func (b bgASes) bgAS(cc geo.CountryCode) geo.ASN {
+	p := b.pools[cc]
+	if p == nil {
+		p = &asPool{}
+		b.pools[cc] = p
+	}
+	if len(p.asns) == 0 || p.used >= b.capacity {
+		org := b.w.newOrg("", cc)
+		p.asns = append(p.asns, b.w.newAS(org, false))
+		p.used = 0
+	}
+	p.used++
+	return p.asns[len(p.asns)-1]
+}
+
 // newOrg registers a background organization in a country.
 func (w *World) newOrg(name string, cc geo.CountryCode) geo.OrgID {
 	w.nextOrg++

@@ -10,7 +10,7 @@ import (
 )
 
 // instrumentWorld attaches one tracer to the super proxy and every exit
-// node, the way tft.Options.instrument wires a simulated world.
+// node, the way tft.Options.setup wires a simulated world.
 func instrumentWorld(w *testWorld) *trace.Tracer {
 	tr := trace.New(w.clock.Now, 0)
 	w.sp.Tracer = tr

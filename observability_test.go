@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -155,10 +156,7 @@ func TestRunDNSFlightRecorder(t *testing.T) {
 	if man.Sessions != int64(st.Sessions) || man.UniqueNodes != int64(st.UniqueNodes) {
 		t.Errorf("manifest %+v disagrees with run stats %+v", man, st)
 	}
-	if man.NodesDone != int64(len(run.Dataset.Observations))+man.Discarded {
-		t.Errorf("manifest nodes done %d != observations %d + discarded %d",
-			man.NodesDone, len(run.Dataset.Observations), man.Discarded)
-	}
+	checkOutcomeInvariants(t, run)
 	if man.Probes < man.NodesDone {
 		t.Errorf("probes %d < nodes done %d", man.Probes, man.NodesDone)
 	}
@@ -190,9 +188,66 @@ func TestRunDNSFlightRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := run2.Manifest()
-	if m2.NodesDone != int64(len(run2.Dataset.Observations))+m2.Discarded {
-		t.Errorf("second run nodes done %d != observations %d + discarded %d (Begin must reset shard counts)",
-			m2.NodesDone, len(run2.Dataset.Observations), m2.Discarded)
+	checkOutcomeInvariants(t, run2)
+}
+
+// observations counts a run's measured nodes.
+func observations(r Run) int {
+	switch r := r.(type) {
+	case *DNSRun:
+		return len(r.Dataset.Observations)
+	case *HTTPRun:
+		return len(r.Dataset.Observations)
+	case *TLSRun:
+		return len(r.Dataset.Observations)
+	case *MonitorRun:
+		return len(r.Dataset.Observations)
+	case *SMTPRun:
+		return len(r.Dataset.Observations)
+	}
+	panic(fmt.Sprintf("unexpected run type %T", r))
+}
+
+// checkOutcomeInvariants checks the manifest's final counts against the
+// run: every measured node is one observation, every session ends in
+// exactly one outcome, and the faults the manifest counts are the ones
+// Stats reports as the error budget.
+func checkOutcomeInvariants(t *testing.T, r Run) {
+	t.Helper()
+	m := r.Manifest()
+	if obs := int64(observations(r)); m.NodesDone != obs {
+		t.Errorf("%s: manifest nodes done %d != observations %d", r.Name(), m.NodesDone, obs)
+	}
+	if sum := m.NodesDone + m.Duplicates + m.Failures + m.Discarded + m.Faults; m.Sessions != sum {
+		t.Errorf("%s: sessions %d != done %d + duplicates %d + failures %d + discarded %d + faults %d",
+			r.Name(), m.Sessions, m.NodesDone, m.Duplicates, m.Failures, m.Discarded, m.Faults)
+	}
+	if st := r.Stats(); m.Faults != int64(st.Faulted) {
+		t.Errorf("%s: manifest faults %d != stats faulted %d", r.Name(), m.Faults, st.Faulted)
+	}
+}
+
+// TestManifestOutcomeInvariants checks the outcome invariants for every
+// registered experiment, fault-free and under lossy-links, at the default
+// worker count.
+func TestManifestOutcomeInvariants(t *testing.T) {
+	t.Parallel()
+	for _, name := range Experiments() {
+		for _, chaos := range []string{"", "lossy-links"} {
+			key := name
+			if chaos != "" {
+				key += "/" + chaos
+			}
+			t.Run(key, func(t *testing.T) {
+				t.Parallel()
+				opts := Options{Seed: 21, Scale: 0.01, Chaos: chaos}
+				opts.Crawl.MaxSessions = 1000
+				r, err := RunExperiment(context.Background(), name, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkOutcomeInvariants(t, r)
+			})
+		}
 	}
 }

@@ -24,6 +24,7 @@ var (
 // duplicates, the stop-rule window trajectory, and per-country session
 // counts — and report.go renders it as a table.
 func TestRunDNSDefaultScaleMetrics(t *testing.T) {
+	t.Parallel()
 	run, err := RunDNS(context.Background(), Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -10,10 +10,13 @@ set -eux
 unformatted=$(gofmt -l .)
 test -z "$unformatted" || { echo "gofmt needed: $unformatted" >&2; exit 1; }
 go vet ./...
+# perfbench is a nested module (replace => ../), so ./... never reaches it.
+GOWORK=off go -C perfbench vet .
 # tftlint's machine-readable report is archived next to the BENCH_<n>.json
 # trajectory (benchdiff prints its wall time); findings still gate the run.
 go run ./cmd/tftlint -json ./... > LINT_10.json || { cat LINT_10.json >&2; exit 1; }
 go build ./...
+GOWORK=off go -C perfbench build -o /dev/null .
 go test -race ./...
 go test -run=NONE -fuzz=FuzzUsernameRoundTrip -fuzztime=5s ./internal/proxynet
 go test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/cert

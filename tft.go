@@ -31,6 +31,7 @@ import (
 	"github.com/tftproject/tft/internal/analysis"
 	"github.com/tftproject/tft/internal/core"
 	"github.com/tftproject/tft/internal/dataset"
+	"github.com/tftproject/tft/internal/geo"
 	"github.com/tftproject/tft/internal/metrics"
 	"github.com/tftproject/tft/internal/population"
 	"github.com/tftproject/tft/internal/progress"
@@ -86,69 +87,6 @@ func resolveWorkers(optWorkers, crawlWorkers int) int {
 	return optWorkers
 }
 
-// instrument ensures the run has a metrics registry and a span tracer, and
-// threads both into the world's service side: the registry into the super
-// proxy, the tracer into the super proxy and every exit node, so one
-// measured request yields one complete span tree. The tracer runs on the
-// world's virtual clock, so span durations are in simulated time.
-func (o *Options) instrument(w *population.World) *metrics.Registry {
-	if o.Crawl.Metrics == nil {
-		o.Crawl.Metrics = metrics.NewRegistry()
-	}
-	if o.Crawl.Progress == nil {
-		// Always install a flight recorder so every run carries a populated
-		// manifest; the tracker never touches the crawl's RNG or measured
-		// output, so a fixed-seed run is byte-identical with or without it.
-		o.Crawl.Progress = progress.NewTracker()
-	}
-	if o.Crawl.Tracer == nil && w != nil && w.Clock != nil {
-		o.Crawl.Tracer = trace.New(w.Clock.Now, 0)
-	}
-	if w != nil && w.Super != nil && w.Super.Metrics == nil {
-		w.Super.Metrics = o.Crawl.Metrics
-	}
-	if w != nil && w.Super != nil && w.Super.Tracer == nil {
-		w.Super.Tracer = o.Crawl.Tracer
-	}
-	if w != nil && w.Pool != nil {
-		tracer := o.Crawl.Tracer
-		clock := w.Clock
-		w.Pool.SetPrepare(func(n *proxynet.ExitNode) {
-			if n.Tracer == nil {
-				n.Tracer = tracer
-			}
-			if n.Clock == nil {
-				n.Clock = clock
-			}
-		})
-		if lp, ok := w.Pool.(*proxynet.LazyPool); ok {
-			lp.SetMetrics(o.Crawl.Metrics)
-		}
-	}
-	return o.Crawl.Metrics
-}
-
-// applyChaos arms the world's fault plane and the proxy-side hardening when
-// Options.Chaos names a profile. Called after instrument (so the metrics
-// registry exists) and before the experiment runs. With Chaos empty it does
-// nothing: the breaker is only installed under chaos, so a fault-free run
-// stays byte-identical to a build without the chaos plane.
-func (o *Options) applyChaos(w *population.World) error {
-	if o.Chaos == "" {
-		return nil
-	}
-	prof, ok := simnet.ProfileByName(o.Chaos)
-	if !ok {
-		return fmt.Errorf("unknown chaos profile %q (have %v)", o.Chaos, simnet.ProfileNames())
-	}
-	plane := simnet.NewFaultPlane(prof, o.Seed, w.Clock)
-	faults := o.Crawl.Metrics.Labeled("fault_injected_total")
-	plane.OnInject(func(kind string) { faults.Inc(kind) })
-	w.Fabric.Faults = plane
-	w.Super.Health = proxynet.NewHealthTracker(w.Clock, o.Seed, o.Crawl.Metrics)
-	return nil
-}
-
 // wallNow stamps run manifests. Manifests are operator-facing run records
 // (when did this campaign actually execute), so they use the wall clock by
 // contract and are excluded from all determinism comparisons.
@@ -193,22 +131,6 @@ func (o Options) buildManifest(name string, st core.Stats, started, finished tim
 	}
 }
 
-// runManifest is the embedded carrier for the Run interface's manifest
-// accessors; every Run type gets Manifest/WriteManifest from it.
-type runManifest struct{ man *progress.RunManifest }
-
-// Manifest returns the run's flight-recorder manifest: seed, scale,
-// workers, duration, final counts, and peak runtime watermarks.
-func (r runManifest) Manifest() *progress.RunManifest { return r.man }
-
-// WriteManifest serializes the manifest as indented JSON.
-func (r runManifest) WriteManifest(w io.Writer) error {
-	if r.man == nil {
-		return nil
-	}
-	return r.man.Write(w)
-}
-
 func (o Options) cfg() analysis.Config { return analysis.Config{Scale: o.Scale} }
 
 // faultLine is the error-budget suffix shared by every Headline. It is
@@ -225,8 +147,8 @@ func faultLine(st core.Stats) string {
 // (DNS, HTTP, TLS, monitoring, SMTP) exposes its rendered paper tables,
 // its crawl statistics, and the instrumented crawl engine's metrics
 // snapshot through the same three calls. Consumers (Results.Overview,
-// Results.Dump, cmd/tft, cmd/analyze) iterate over Runs instead of
-// repeating per-experiment code.
+// Results.Dump, cmd/tft) iterate over Runs instead of repeating
+// per-experiment code.
 type Run interface {
 	// Name is the run's release identifier ("dns", "http", "tls",
 	// "monitor", "smtp") — also the dataset file stem in a Dump.
@@ -259,451 +181,395 @@ type Run interface {
 	WriteManifest(w io.Writer) error
 }
 
-// DNSRun bundles the §4 experiment's world, dataset, and analysis.
-type DNSRun struct {
-	runManifest
+// experiment is implemented by one zero-size type per experiment; its spec
+// is everything a run does differently from the others.
+type experiment[D, A any] interface {
+	spec() runSpec[D, A]
+}
 
+// runSpec is one experiment's part of a run: how its world is built and
+// crawled into a dataset D, and how D and its analysis A render.
+type runSpec[D, A any] struct {
+	name    string
+	build   func(seed uint64, scale float64) (*population.World, error)
+	crawl   func(ctx context.Context, w *population.World, o Options) (*D, error)
+	analyze func(cfg analysis.Config, g *geo.Registry, d *D) *A
+	stats   func(d *D) core.Stats
+	tables  func(a *A) []*analysis.Table
+	// headline is the CLI summary, less the error-budget line.
+	headline     func(d *D, a *A) string
+	overview     func(a *A) analysis.DatasetOverview
+	writeDataset func(w io.Writer, seed uint64, scale float64, d *D) error
+}
+
+// expRun bundles one experiment's world, dataset, and analysis. DNSRun,
+// HTTPRun, TLSRun, MonitorRun and SMTPRun name its five instances.
+type expRun[E experiment[D, A], D, A any] struct {
 	Opts     Options
 	World    *population.World
-	Dataset  *core.DNSDataset
-	Analysis *analysis.DNSAnalysis
+	Dataset  *D
+	Analysis *A
 
 	reg    *metrics.Registry
 	tracer *trace.Tracer
+	man    *progress.RunManifest
 }
+
+type (
+	// DNSRun bundles the §4 experiment: NXDOMAIN hijacking.
+	DNSRun = expRun[dnsExp, core.DNSDataset, analysis.DNSAnalysis]
+	// HTTPRun bundles the §5 experiment: content modification.
+	HTTPRun = expRun[httpExp, core.HTTPDataset, analysis.HTTPAnalysis]
+	// TLSRun bundles the §6 experiment: certificate replacement.
+	TLSRun = expRun[tlsExp, core.TLSDataset, analysis.TLSAnalysis]
+	// MonitorRun bundles the §7 experiment: content monitoring.
+	MonitorRun = expRun[monExp, core.MonDataset, analysis.MonAnalysis]
+	// SMTPRun bundles the §3.4 extension experiment: SMTP probing through
+	// an arbitrary-port tunnel service, implementing the paper's stated
+	// future work.
+	SMTPRun = expRun[smtpExp, core.SMTPDataset, analysis.SMTPAnalysis]
+)
 
 // RunDNS builds a DNS world and runs the NXDOMAIN-hijack experiment.
-func RunDNS(ctx context.Context, opts Options) (*DNSRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildDNSWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.DNSExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-	}
-	exp.InstallRules(population.WebIP)
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &DNSRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeDNS(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("dns", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *DNSRun) Name() string { return "dns" }
-
-// Tables renders the run's paper artifacts.
-func (r *DNSRun) Tables() []*analysis.Table {
-	_, t3 := r.Analysis.Table3(10)
-	_, t4 := r.Analysis.Table4()
-	_, t5 := r.Analysis.Table5()
-	return []*analysis.Table{t3, t4, t5}
-}
-
-// Stats summarises the crawl.
-func (r *DNSRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *DNSRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *DNSRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *DNSRun) Headline() string {
-	s := r.Analysis.Summary()
-	rs := r.Analysis.ResolverStats()
-	return fmt.Sprintf("== DNS (§4): %d nodes measured (%d filtered shared-anycast), %d resolvers, %d countries, %d ASes\n"+
-		"   servers: %d total, %d above threshold; ISP-provided %d (%d above threshold, %d hijacking)\n"+
-		"   hijacked: %d (%.1f%%); attribution: %v\n",
-		s.MeasuredNodes, s.FilteredAnycast, s.UniqueResolvers, s.Countries, s.ASes,
-		rs.TotalServers, rs.AboveThreshold, rs.ISPServers, rs.ISPAboveThreshold, rs.HijackingISP,
-		s.Hijacked, s.HijackPct, s.Attribution) + faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *DNSRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	return analysis.DatasetOverview{Name: "DNS",
-		Nodes: s.MeasuredNodes + s.FilteredAnycast, ASes: s.ASes, Countries: s.Countries}
-}
-
-func (r *DNSRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteDNS(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *DNSRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-// HTTPRun bundles the §5 experiment.
-type HTTPRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.HTTPDataset
-	Analysis *analysis.HTTPAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
-}
+func RunDNS(ctx context.Context, opts Options) (*DNSRun, error) { return new(DNSRun).start(ctx, opts) }
 
 // RunHTTP builds an HTTP world and runs the content-modification
 // experiment.
 func RunHTTP(ctx context.Context, opts Options) (*HTTPRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildHTTPWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.HTTPExperiment{
-		Client: w.Client, Auth: w.Auth, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-	}
-	exp.InstallRules(population.WebIP)
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &HTTPRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeHTTP(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("http", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *HTTPRun) Name() string { return "http" }
-
-// Tables renders the run's paper artifacts.
-func (r *HTTPRun) Tables() []*analysis.Table {
-	_, t6 := r.Analysis.Table6()
-	_, t7 := r.Analysis.Table7()
-	return []*analysis.Table{t6, t7}
-}
-
-// Stats summarises the crawl.
-func (r *HTTPRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *HTTPRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *HTTPRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *HTTPRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== HTTP (§5): %d nodes, %d ASes, %d countries; crawl skipped %d by AS quota\n"+
-		"   HTML modified %d (injected %d, block pages %d), images %d, JS %d, CSS %d\n",
-		s.MeasuredNodes, s.ASes, s.Countries, r.Dataset.SkippedQuota,
-		s.HTMLModified, s.HTMLInjected, s.HTMLBlockPage, s.ImageModified, s.JSReplaced, s.CSSReplaced) +
-		faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *HTTPRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	return analysis.DatasetOverview{Name: "HTTP",
-		Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
-}
-
-func (r *HTTPRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteHTTP(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *HTTPRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-// TLSRun bundles the §6 experiment.
-type TLSRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.TLSDataset
-	Analysis *analysis.TLSAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	return new(HTTPRun).start(ctx, opts)
 }
 
 // RunTLS builds a TLS world and runs the certificate-replacement
 // experiment.
-func RunTLS(ctx context.Context, opts Options) (*TLSRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildTLSWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.TLSExperiment{
-		Client: w.Client, Geo: w.Geo, Trust: w.Trust,
-		Targets: core.TargetsFromRegistry(w.Sites),
-		Weights: w.Pool.CountryCounts(),
-		Seed:    opts.Seed, Crawl: opts.Crawl,
-		Now: w.Clock.Now,
-	}
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &TLSRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeTLS(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("tls", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *TLSRun) Name() string { return "tls" }
-
-// Tables renders the run's paper artifacts.
-func (r *TLSRun) Tables() []*analysis.Table {
-	_, t8 := r.Analysis.Table8()
-	return []*analysis.Table{t8}
-}
-
-// Stats summarises the crawl.
-func (r *TLSRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *TLSRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *TLSRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *TLSRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== HTTPS (§6): %d nodes, %d ASes, %d countries; %d CONNECT tunnels\n"+
-		"   replaced certificates on %d nodes (%.2f%%); selective on %d; ASes >10%% affected: %.1f%%\n",
-		s.MeasuredNodes, s.ASes, s.Countries, r.Dataset.Probes,
-		s.Affected, s.AffectedPct, s.SelectiveNodes, s.HighASShare) + faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *TLSRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	return analysis.DatasetOverview{Name: "HTTPS",
-		Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
-}
-
-func (r *TLSRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteTLS(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *TLSRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-// MonitorRun bundles the §7 experiment.
-type MonitorRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.MonDataset
-	Analysis *analysis.MonAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
-}
+func RunTLS(ctx context.Context, opts Options) (*TLSRun, error) { return new(TLSRun).start(ctx, opts) }
 
 // RunMonitor builds a monitoring world and runs the content-monitoring
 // experiment (24 virtual hours of server-log watching).
 func RunMonitor(ctx context.Context, opts Options) (*MonitorRun, error) {
-	opts = opts.withDefaults()
-	started := wallNow()
-	w, err := population.BuildMonitorWorld(opts.Seed, opts.Scale)
-	if err != nil {
-		return nil, err
-	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.MonitorExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-		Watch: 24 * time.Hour,
-	}
-	exp.InstallRules(population.WebIP)
-	ds, err := exp.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &MonitorRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeMonitor(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("monitor", ds.Crawl, started, wallNow())}}, nil
-}
-
-// Name implements Run.
-func (r *MonitorRun) Name() string { return "monitor" }
-
-// Tables renders the run's paper artifacts.
-func (r *MonitorRun) Tables() []*analysis.Table {
-	_, t9 := r.Analysis.Table9(6)
-	_, f5 := r.Analysis.Figure5Table(6)
-	return []*analysis.Table{t9, f5}
-}
-
-// Stats summarises the crawl.
-func (r *MonitorRun) Stats() core.Stats { return r.Dataset.Crawl }
-
-// Metrics snapshots the run's crawl telemetry.
-func (r *MonitorRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
-
-// Spans returns the run's retained request spans.
-func (r *MonitorRun) Spans() []trace.SpanData { return r.tracer.Spans() }
-
-// Headline is the CLI summary.
-func (r *MonitorRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== Monitoring (§7): %d nodes; monitored %d (%.2f%%) by %d IPs in %d AS groups\n",
-		s.MeasuredNodes, s.Monitored, s.MonitoredPct, s.UniqueIPs, s.ASGroups) +
-		faultLine(r.Dataset.Crawl)
-}
-
-// Overview is the Table-2 row.
-func (r *MonitorRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	countries, ases := monCoverage(r)
-	return analysis.DatasetOverview{Name: "Monitoring",
-		Nodes: s.MeasuredNodes, ASes: ases, Countries: countries}
-}
-
-func (r *MonitorRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteMonitor(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *MonitorRun) WriteGeo(w io.Writer) error {
-	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
-}
-
-func monCoverage(r *MonitorRun) (countries, ases int) {
-	cset := map[string]bool{}
-	aset := map[uint32]bool{}
-	for _, o := range r.Dataset.Observations {
-		cset[string(o.Country)] = true
-		aset[uint32(o.ASN)] = true
-	}
-	return len(cset), len(aset)
-}
-
-// SMTPRun bundles the §3.4 extension experiment: SMTP probing through an
-// arbitrary-port tunnel service, implementing the paper's stated future
-// work.
-type SMTPRun struct {
-	runManifest
-
-	Opts     Options
-	World    *population.World
-	Dataset  *core.SMTPDataset
-	Analysis *analysis.SMTPAnalysis
-
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	return new(MonitorRun).start(ctx, opts)
 }
 
 // RunSMTP builds the extension world (a VPN allowing any CONNECT port) and
 // probes the measurement mail server through every node, detecting port-25
 // blocking and STARTTLS stripping.
 func RunSMTP(ctx context.Context, opts Options) (*SMTPRun, error) {
+	return new(SMTPRun).start(ctx, opts)
+}
+
+// setup builds a run's world and wires it for the crawl.
+//
+// It ensures the run has a metrics registry and a span tracer, and threads
+// both into the world's service side: the registry into the super proxy,
+// the tracer into the super proxy and every exit node, so one measured
+// request yields one complete span tree. The tracer runs on the world's
+// virtual clock, so span durations are in simulated time.
+//
+// When Options.Chaos names a profile, setup then arms the world's fault
+// plane and the proxy-side hardening. With Chaos empty it arms nothing: the
+// breaker is only installed under chaos, so a fault-free run stays
+// byte-identical to a build without the chaos plane.
+func (o *Options) setup(build func(seed uint64, scale float64) (*population.World, error)) (*population.World, error) {
+	w, err := build(o.Seed, o.Scale)
+	if err != nil {
+		return nil, err
+	}
+	if o.Crawl.Metrics == nil {
+		o.Crawl.Metrics = metrics.NewRegistry()
+	}
+	if o.Crawl.Progress == nil {
+		// Always install a flight recorder so every run carries a populated
+		// manifest; the tracker never touches the crawl's RNG or measured
+		// output, so a fixed-seed run is byte-identical with or without it.
+		o.Crawl.Progress = progress.NewTracker()
+	}
+	if o.Crawl.Tracer == nil {
+		o.Crawl.Tracer = trace.New(w.Clock.Now, 0)
+	}
+	if w.Super.Metrics == nil {
+		w.Super.Metrics = o.Crawl.Metrics
+	}
+	if w.Super.Tracer == nil {
+		w.Super.Tracer = o.Crawl.Tracer
+	}
+	tracer, clock := o.Crawl.Tracer, w.Clock
+	w.Pool.SetPrepare(func(n *proxynet.ExitNode) {
+		if n.Tracer == nil {
+			n.Tracer = tracer
+		}
+		if n.Clock == nil {
+			n.Clock = clock
+		}
+	})
+	if lp, ok := w.Pool.(*proxynet.LazyPool); ok {
+		lp.SetMetrics(o.Crawl.Metrics)
+	}
+
+	if o.Chaos == "" {
+		return w, nil
+	}
+	prof, ok := simnet.ProfileByName(o.Chaos)
+	if !ok {
+		return nil, fmt.Errorf("unknown chaos profile %q (have %v)", o.Chaos, simnet.ProfileNames())
+	}
+	plane := simnet.NewFaultPlane(prof, o.Seed, w.Clock)
+	faults := o.Crawl.Metrics.Labeled("fault_injected_total")
+	plane.OnInject(func(kind string) { faults.Inc(kind) })
+	w.Fabric.Faults = plane
+	w.Super.Health = proxynet.NewHealthTracker(w.Clock, o.Seed, o.Crawl.Metrics)
+	return w, nil
+}
+
+// start builds the experiment's world, crawls it and analyses the dataset
+// into r. It returns r, or nil and the error.
+func (r *expRun[E, D, A]) start(ctx context.Context, opts Options) (*expRun[E, D, A], error) {
+	sp := r.spec()
 	opts = opts.withDefaults()
 	started := wallNow()
-	w, err := population.BuildSMTPWorld(opts.Seed, opts.Scale)
+	w, err := opts.setup(sp.build)
 	if err != nil {
 		return nil, err
 	}
-	reg := opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.SMTPExperiment{
-		Client: w.Client, Geo: w.Geo, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-		MailIP: population.MailIP, MailHost: population.MailHost,
-	}
-	ds, err := exp.Run(ctx)
+	ds, err := sp.crawl(ctx, w, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &SMTPRun{Opts: opts, World: w, Dataset: ds,
-		Analysis: analysis.AnalyzeSMTP(opts.cfg(), w.Geo, ds),
-		reg:      reg, tracer: opts.Crawl.Tracer,
-		runManifest: runManifest{man: opts.buildManifest("smtp", ds.Crawl, started, wallNow())}}, nil
+	*r = expRun[E, D, A]{Opts: opts, World: w, Dataset: ds,
+		Analysis: sp.analyze(opts.cfg(), w.Geo, ds),
+		reg:      opts.Crawl.Metrics, tracer: opts.Crawl.Tracer,
+		man: opts.buildManifest(sp.name, sp.stats(ds), started, wallNow())}
+	return r, nil
+}
+
+func (*expRun[E, D, A]) spec() runSpec[D, A] {
+	var e E
+	return e.spec()
 }
 
 // Name implements Run.
-func (r *SMTPRun) Name() string { return "smtp" }
+func (r *expRun[E, D, A]) Name() string { return r.spec().name }
 
-// Tables renders the extension's findings.
-func (r *SMTPRun) Tables() []*analysis.Table {
-	_, t := r.Analysis.TableSMTP()
-	return []*analysis.Table{t}
-}
+// Tables renders the run's paper artifacts.
+func (r *expRun[E, D, A]) Tables() []*analysis.Table { return r.spec().tables(r.Analysis) }
 
 // Stats summarises the crawl.
-func (r *SMTPRun) Stats() core.Stats { return r.Dataset.Crawl }
+func (r *expRun[E, D, A]) Stats() core.Stats { return r.spec().stats(r.Dataset) }
 
 // Metrics snapshots the run's crawl telemetry.
-func (r *SMTPRun) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
+func (r *expRun[E, D, A]) Metrics() *metrics.Snapshot { return r.reg.Snapshot() }
 
 // Spans returns the run's retained request spans.
-func (r *SMTPRun) Spans() []trace.SpanData { return r.tracer.Spans() }
+func (r *expRun[E, D, A]) Spans() []trace.SpanData { return r.tracer.Spans() }
 
 // Headline is the CLI summary.
-func (r *SMTPRun) Headline() string {
-	s := r.Analysis.Summary()
-	return fmt.Sprintf("== SMTP extension (§3.4 future work): %d nodes probed through an any-port tunnel\n"+
-		"   port 25 blocked: %d (%.1f%%); STARTTLS stripped: %d (%.2f%%) in %d ASes\n",
-		s.MeasuredNodes, s.Blocked, s.BlockedPct, s.Stripped, s.StrippedPct, s.StripperASes) +
-		faultLine(r.Dataset.Crawl)
+func (r *expRun[E, D, A]) Headline() string {
+	return r.spec().headline(r.Dataset, r.Analysis) + faultLine(r.Stats())
 }
 
 // Overview is the Table-2 row.
-func (r *SMTPRun) Overview() analysis.DatasetOverview {
-	s := r.Analysis.Summary()
-	cset := map[string]bool{}
-	aset := map[uint32]bool{}
-	for _, o := range r.Dataset.Observations {
-		cset[string(o.Country)] = true
-		aset[uint32(o.ASN)] = true
-	}
-	return analysis.DatasetOverview{Name: "SMTP",
-		Nodes: s.MeasuredNodes, ASes: len(aset), Countries: len(cset)}
+func (r *expRun[E, D, A]) Overview() analysis.DatasetOverview { return r.spec().overview(r.Analysis) }
+
+// WriteDataset serializes the run's dataset for the release dump.
+func (r *expRun[E, D, A]) WriteDataset(w io.Writer) error {
+	return r.spec().writeDataset(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
 }
 
-func (r *SMTPRun) WriteDataset(w io.Writer) error {
-	return dataset.WriteSMTP(w, r.Opts.Seed, r.Opts.Scale, r.Dataset)
-}
-
-func (r *SMTPRun) WriteGeo(w io.Writer) error {
+// WriteGeo serializes the run world's geo snapshot for the release dump.
+func (r *expRun[E, D, A]) WriteGeo(w io.Writer) error {
 	return dataset.WriteGeo(w, r.Opts.Seed, r.Opts.Scale, r.World.Geo)
+}
+
+// Manifest returns the run's flight-recorder manifest: seed, scale,
+// workers, duration, final counts, and peak runtime watermarks.
+func (r *expRun[E, D, A]) Manifest() *progress.RunManifest { return r.man }
+
+// WriteManifest serializes the manifest as indented JSON.
+func (r *expRun[E, D, A]) WriteManifest(w io.Writer) error {
+	if r.man == nil {
+		return nil
+	}
+	return r.man.Write(w)
+}
+
+type dnsExp struct{}
+
+func (dnsExp) spec() runSpec[core.DNSDataset, analysis.DNSAnalysis] {
+	return runSpec[core.DNSDataset, analysis.DNSAnalysis]{
+		name: "dns", build: population.BuildDNSWorld,
+		analyze: analysis.AnalyzeDNS, writeDataset: dataset.WriteDNS,
+		crawl: func(ctx context.Context, w *population.World, o Options) (*core.DNSDataset, error) {
+			return newDNSExperiment(w, o).Run(ctx)
+		},
+		stats: func(d *core.DNSDataset) core.Stats { return d.Crawl },
+		tables: func(a *analysis.DNSAnalysis) []*analysis.Table {
+			_, t3 := a.Table3(10)
+			_, t4 := a.Table4()
+			_, t5 := a.Table5()
+			return []*analysis.Table{t3, t4, t5}
+		},
+		headline: func(_ *core.DNSDataset, a *analysis.DNSAnalysis) string {
+			s := a.Summary()
+			rs := a.ResolverStats()
+			return fmt.Sprintf("== DNS (§4): %d nodes measured (%d filtered shared-anycast), %d resolvers, %d countries, %d ASes\n"+
+				"   servers: %d total, %d above threshold; ISP-provided %d (%d above threshold, %d hijacking)\n"+
+				"   hijacked: %d (%.1f%%); attribution: %v\n",
+				s.MeasuredNodes, s.FilteredAnycast, s.UniqueResolvers, s.Countries, s.ASes,
+				rs.TotalServers, rs.AboveThreshold, rs.ISPServers, rs.ISPAboveThreshold, rs.HijackingISP,
+				s.Hijacked, s.HijackPct, s.Attribution)
+		},
+		overview: func(a *analysis.DNSAnalysis) analysis.DatasetOverview {
+			s := a.Summary()
+			return analysis.DatasetOverview{Name: "DNS",
+				Nodes: s.MeasuredNodes + s.FilteredAnycast, ASes: s.ASes, Countries: s.Countries}
+		},
+	}
+}
+
+// newDNSExperiment wires the §4 experiment over a DNS world, with its
+// d1/d2 resolution rules installed.
+func newDNSExperiment(w *population.World, o Options) *core.DNSExperiment {
+	exp := &core.DNSExperiment{
+		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
+		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
+		Seed: o.Seed, Crawl: o.Crawl,
+	}
+	exp.InstallRules(population.WebIP)
+	return exp
+}
+
+type httpExp struct{}
+
+func (httpExp) spec() runSpec[core.HTTPDataset, analysis.HTTPAnalysis] {
+	return runSpec[core.HTTPDataset, analysis.HTTPAnalysis]{
+		name: "http", build: population.BuildHTTPWorld,
+		analyze: analysis.AnalyzeHTTP, writeDataset: dataset.WriteHTTP,
+		crawl: func(ctx context.Context, w *population.World, o Options) (*core.HTTPDataset, error) {
+			exp := &core.HTTPExperiment{
+				Client: w.Client, Auth: w.Auth, Geo: w.Geo,
+				Zone: population.Zone, Weights: w.Pool.CountryCounts(),
+				Seed: o.Seed, Crawl: o.Crawl,
+			}
+			exp.InstallRules(population.WebIP)
+			return exp.Run(ctx)
+		},
+		stats: func(d *core.HTTPDataset) core.Stats { return d.Crawl },
+		tables: func(a *analysis.HTTPAnalysis) []*analysis.Table {
+			_, t6 := a.Table6()
+			_, t7 := a.Table7()
+			return []*analysis.Table{t6, t7}
+		},
+		headline: func(d *core.HTTPDataset, a *analysis.HTTPAnalysis) string {
+			s := a.Summary()
+			return fmt.Sprintf("== HTTP (§5): %d nodes, %d ASes, %d countries; crawl skipped %d by AS quota\n"+
+				"   HTML modified %d (injected %d, block pages %d), images %d, JS %d, CSS %d\n",
+				s.MeasuredNodes, s.ASes, s.Countries, d.SkippedQuota,
+				s.HTMLModified, s.HTMLInjected, s.HTMLBlockPage, s.ImageModified, s.JSReplaced, s.CSSReplaced)
+		},
+		overview: func(a *analysis.HTTPAnalysis) analysis.DatasetOverview {
+			s := a.Summary()
+			return analysis.DatasetOverview{Name: "HTTP", Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
+		},
+	}
+}
+
+type tlsExp struct{}
+
+func (tlsExp) spec() runSpec[core.TLSDataset, analysis.TLSAnalysis] {
+	return runSpec[core.TLSDataset, analysis.TLSAnalysis]{
+		name: "tls", build: population.BuildTLSWorld,
+		analyze: analysis.AnalyzeTLS, writeDataset: dataset.WriteTLS,
+		crawl: func(ctx context.Context, w *population.World, o Options) (*core.TLSDataset, error) {
+			exp := &core.TLSExperiment{
+				Client: w.Client, Geo: w.Geo, Trust: w.Trust,
+				Targets: core.TargetsFromRegistry(w.Sites),
+				Weights: w.Pool.CountryCounts(),
+				Seed:    o.Seed, Crawl: o.Crawl,
+				Now: w.Clock.Now,
+			}
+			return exp.Run(ctx)
+		},
+		stats: func(d *core.TLSDataset) core.Stats { return d.Crawl },
+		tables: func(a *analysis.TLSAnalysis) []*analysis.Table {
+			_, t8 := a.Table8()
+			return []*analysis.Table{t8}
+		},
+		headline: func(d *core.TLSDataset, a *analysis.TLSAnalysis) string {
+			s := a.Summary()
+			return fmt.Sprintf("== HTTPS (§6): %d nodes, %d ASes, %d countries; %d CONNECT tunnels\n"+
+				"   replaced certificates on %d nodes (%.2f%%); selective on %d; ASes >10%% affected: %.1f%%\n",
+				s.MeasuredNodes, s.ASes, s.Countries, d.Probes,
+				s.Affected, s.AffectedPct, s.SelectiveNodes, s.HighASShare)
+		},
+		overview: func(a *analysis.TLSAnalysis) analysis.DatasetOverview {
+			s := a.Summary()
+			return analysis.DatasetOverview{Name: "HTTPS", Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
+		},
+	}
+}
+
+type monExp struct{}
+
+func (monExp) spec() runSpec[core.MonDataset, analysis.MonAnalysis] {
+	return runSpec[core.MonDataset, analysis.MonAnalysis]{
+		name: "monitor", build: population.BuildMonitorWorld,
+		analyze: analysis.AnalyzeMonitor, writeDataset: dataset.WriteMonitor,
+		crawl: func(ctx context.Context, w *population.World, o Options) (*core.MonDataset, error) {
+			exp := &core.MonitorExperiment{
+				Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo, Clock: w.Clock,
+				Zone: population.Zone, Weights: w.Pool.CountryCounts(),
+				Seed: o.Seed, Crawl: o.Crawl,
+				Watch: 24 * time.Hour,
+			}
+			exp.InstallRules(population.WebIP)
+			return exp.Run(ctx)
+		},
+		stats: func(d *core.MonDataset) core.Stats { return d.Crawl },
+		tables: func(a *analysis.MonAnalysis) []*analysis.Table {
+			_, t9 := a.Table9(6)
+			_, f5 := a.Figure5Table(6)
+			return []*analysis.Table{t9, f5}
+		},
+		headline: func(_ *core.MonDataset, a *analysis.MonAnalysis) string {
+			s := a.Summary()
+			return fmt.Sprintf("== Monitoring (§7): %d nodes; monitored %d (%.2f%%) by %d IPs in %d AS groups\n",
+				s.MeasuredNodes, s.Monitored, s.MonitoredPct, s.UniqueIPs, s.ASGroups)
+		},
+		overview: func(a *analysis.MonAnalysis) analysis.DatasetOverview {
+			s := a.Summary()
+			return analysis.DatasetOverview{Name: "Monitoring", Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
+		},
+	}
+}
+
+type smtpExp struct{}
+
+func (smtpExp) spec() runSpec[core.SMTPDataset, analysis.SMTPAnalysis] {
+	return runSpec[core.SMTPDataset, analysis.SMTPAnalysis]{
+		name: "smtp", build: population.BuildSMTPWorld,
+		analyze: analysis.AnalyzeSMTP, writeDataset: dataset.WriteSMTP,
+		crawl: func(ctx context.Context, w *population.World, o Options) (*core.SMTPDataset, error) {
+			exp := &core.SMTPExperiment{
+				Client: w.Client, Geo: w.Geo, Weights: w.Pool.CountryCounts(),
+				Seed: o.Seed, Crawl: o.Crawl,
+				MailIP: population.MailIP, MailHost: population.MailHost,
+			}
+			return exp.Run(ctx)
+		},
+		stats: func(d *core.SMTPDataset) core.Stats { return d.Crawl },
+		tables: func(a *analysis.SMTPAnalysis) []*analysis.Table {
+			_, t := a.TableSMTP()
+			return []*analysis.Table{t}
+		},
+		headline: func(_ *core.SMTPDataset, a *analysis.SMTPAnalysis) string {
+			s := a.Summary()
+			return fmt.Sprintf("== SMTP extension (§3.4 future work): %d nodes probed through an any-port tunnel\n"+
+				"   port 25 blocked: %d (%.1f%%); STARTTLS stripped: %d (%.2f%%) in %d ASes\n",
+				s.MeasuredNodes, s.Blocked, s.BlockedPct, s.Stripped, s.StrippedPct, s.StripperASes)
+		},
+		overview: func(a *analysis.SMTPAnalysis) analysis.DatasetOverview {
+			s := a.Summary()
+			return analysis.DatasetOverview{Name: "SMTP", Nodes: s.MeasuredNodes, ASes: s.ASes, Countries: s.Countries}
+		},
+	}
 }
 
 // Results is the output of a full four-experiment campaign.
@@ -804,22 +670,12 @@ type LongitudinalRun struct {
 // its own metrics snapshot in Wave.Metrics.
 func RunLongitudinal(ctx context.Context, opts Options, waves int) (*LongitudinalRun, error) {
 	opts = opts.withDefaults()
-	w, err := population.BuildDNSWorld(opts.Seed, opts.Scale)
+	w, err := opts.setup(population.BuildDNSWorld)
 	if err != nil {
 		return nil, err
 	}
-	opts.instrument(w)
-	if err := opts.applyChaos(w); err != nil {
-		return nil, err
-	}
-	exp := &core.DNSExperiment{
-		Client: w.Client, Auth: w.Auth, Web: w.Web, Geo: w.Geo,
-		Zone: population.Zone, Weights: w.Pool.CountryCounts(),
-		Seed: opts.Seed, Crawl: opts.Crawl,
-	}
-	exp.InstallRules(population.WebIP)
 	long := &core.LongitudinalDNS{
-		Experiment:   exp,
+		Experiment:   newDNSExperiment(w, opts),
 		Clock:        w.Clock,
 		Waves:        waves,
 		BetweenWaves: population.StandardEvolution(w),

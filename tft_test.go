@@ -16,6 +16,7 @@ import (
 const itScale = 0.02
 
 func TestRunAllAndReport(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full campaign in -short mode")
 	}
