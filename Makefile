@@ -33,12 +33,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every crawl benchmark plus the simnet pipe micro-benches:
-# a smoke test that the default-scale worlds still build and crawl and the
-# fast path still runs, not a performance measurement.
+# One iteration of every crawl benchmark plus the simnet pipe and httpwire
+# response-parse micro-benches: a smoke test that the default-scale worlds
+# still build and crawl and the fast paths still run, not a performance
+# measurement.
 bench:
 	$(GO) test -run=NONE -bench=Crawl -benchtime=1x ./...
 	$(GO) test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
+	$(GO) test -run=NONE -bench=ReadResponse -benchtime=1x -benchmem ./internal/httpwire
 
 # Short fuzz smoke over every parser that faces untrusted bytes: proxy
 # usernames (zone/session encoding), certificates and certificate chains,

@@ -12,6 +12,7 @@ import (
 	"github.com/tftproject/tft/internal/content"
 	"github.com/tftproject/tft/internal/dnsserver"
 	"github.com/tftproject/tft/internal/geo"
+	"github.com/tftproject/tft/internal/httpwire"
 	"github.com/tftproject/tft/internal/proxynet"
 )
 
@@ -184,42 +185,15 @@ func (p *httpProbe) measure(ctx context.Context, cr *crawler, cc geo.CountryCode
 	for idx, k := range p.kinds {
 		host := httpPrefix + sess + "-" + strconv.Itoa(idx) + "." + p.Zone
 		resp, dbg, err := p.Client.Get(ctx, opts, "http://"+host+k.Path())
-		if err != nil || dbg == nil || dbg.Err != "" {
-			oc := classifyFailure(err, dbg)
-			if oc == outcomeFault {
-				// A transport fault mid-measurement would leave ObjError
-				// objects that AnyModified reads as tampering; exclude the
-				// probe into the error budget rather than misclassify it.
-				return nil, outcomeFault
-			}
-			if idx == 0 {
-				return nil, oc
-			}
-			continue
+		oc, stop := p.object(cr, obs, idx, k, resp, dbg, err)
+		// classify clones what it keeps, so this is the body's last use.
+		resp.Release()
+		if oc != outcomeOK {
+			return nil, oc
 		}
-		if idx == 0 {
-			if oc := cr.identify(dbg.ZID); oc != outcomeOK {
-				return nil, oc
-			}
-			obs.ZID = dbg.ZID
-			obs.NodeIP = dbg.NodeIP
-			obs.ASN, obs.Country = locate(p.Geo, obs.NodeIP)
-			// The bandwidth-minimizing strategy: skip fully measuring
-			// ASes that already gave 3 clean samples (§5.1).
-			p.mu.Lock()
-			skip := p.asCount[obs.ASN] >= p.PerASQuota && !p.asFlagged[obs.ASN]
-			p.mu.Unlock()
-			if skip {
-				return nil, outcomeDiscarded
-			}
-		} else if dbg.ZID != obs.ZID {
-			// Node switched mid-measurement; keep what we have.
-			continue
-		}
-		if !p.Budget.Charge(obs.ZID, len(resp.Body)) {
+		if stop {
 			break
 		}
-		obs.Objects[int(k)] = classify(k, resp.StatusCode, resp.Body)
 	}
 	if obs.ZID == "" {
 		return nil, outcomeFailed
@@ -227,14 +201,58 @@ func (p *httpProbe) measure(ctx context.Context, cr *crawler, cc geo.CountryCode
 	return obs, outcomeOK
 }
 
-// classify compares a received object with the canonical one.
+// object records the idx-th fetch (object kind k) into obs. A non-OK
+// outcome ends the probe without an observation; stop ends the fetches
+// but keeps what obs has.
+func (p *httpProbe) object(cr *crawler, obs *HTTPObservation, idx int, k content.Kind, resp *httpwire.Response, dbg *proxynet.Debug, err error) (oc outcome, stop bool) {
+	if err != nil || dbg == nil || dbg.Err != "" {
+		oc = classifyFailure(err, dbg)
+		if oc == outcomeFault {
+			// A transport fault mid-measurement would leave ObjError
+			// objects that AnyModified reads as tampering; exclude the
+			// probe into the error budget rather than misclassify it.
+			return outcomeFault, true
+		}
+		if idx == 0 {
+			return oc, true
+		}
+		return outcomeOK, false
+	}
+	if idx == 0 {
+		if oc = cr.identify(dbg.ZID); oc != outcomeOK {
+			return oc, true
+		}
+		obs.ZID = dbg.ZID
+		obs.NodeIP = dbg.NodeIP
+		obs.ASN, obs.Country = locate(p.Geo, obs.NodeIP)
+		// The bandwidth-minimizing strategy: skip fully measuring
+		// ASes that already gave 3 clean samples (§5.1).
+		p.mu.Lock()
+		skip := p.asCount[obs.ASN] >= p.PerASQuota && !p.asFlagged[obs.ASN]
+		p.mu.Unlock()
+		if skip {
+			return outcomeDiscarded, true
+		}
+	} else if dbg.ZID != obs.ZID {
+		// Node switched mid-measurement; keep what we have.
+		return outcomeOK, false
+	}
+	if !p.Budget.Charge(obs.ZID, len(resp.Body)) {
+		return outcomeOK, true
+	}
+	obs.Objects[int(k)] = classify(k, resp.StatusCode, resp.Body)
+	return outcomeOK, false
+}
+
+// classify compares a received object with the canonical one. The body's
+// response is released after the call, so any body kept is a clone.
 func classify(k content.Kind, status int, body []byte) ObjectResult {
 	orig := content.Object(k)
 	r := ObjectResult{BodyLen: len(body)}
 	switch {
 	case status != 200:
 		r.Outcome = ObjBlocked
-		r.Body = body
+		r.Body = bytes.Clone(body)
 	case len(body) == 0:
 		r.Outcome = ObjEmpty
 	case bytes.Equal(body, orig):
@@ -242,7 +260,7 @@ func classify(k content.Kind, status int, body []byte) ObjectResult {
 	default:
 		r.Outcome = ObjModified
 		if k == content.KindHTML {
-			r.Body = body
+			r.Body = bytes.Clone(body)
 		}
 		if k == content.KindImage {
 			r.ImageRatio = content.CompressionRatio(orig, body)

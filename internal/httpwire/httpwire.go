@@ -138,17 +138,43 @@ func NewRequest(method, target string) *Request {
 }
 
 // Response is an HTTP response.
+//
+// A Response read by ReadResponse may own a pooled body buffer (bodies of
+// at least minPooledBody bytes). The Response is that buffer's only owner
+// and Release its only way back to the pool: call Release at the body's
+// last use, and bytes.Clone any part of Body that must outlive it. A
+// Response that is never released stays correct; the GC reclaims its
+// buffer instead.
 type Response struct {
 	StatusCode int
 	Reason     string
 	Proto      string
 	Header     Header
 	Body       []byte
+
+	// buf is the pooled buffer backing Body, nil when Body is not pooled.
+	// Body may have been replaced since the read; buf still names the
+	// buffer to return.
+	buf *[]byte
 }
 
 // NewResponse builds a response with standard reason text and body.
 func NewResponse(code int, body []byte) *Response {
 	return &Response{StatusCode: code, Reason: ReasonPhrase(code), Proto: "HTTP/1.1", Header: make(Header, 8), Body: body}
+}
+
+// Release returns the response's pooled body buffer to its pool and sets
+// Body to nil. Nothing that aliases the old Body may be used afterwards:
+// the next ReadResponse of the same size class overwrites it. Release is
+// a no-op on a nil Response, on one whose body was not pooled (including
+// every NewResponse value), and on a second call.
+func (r *Response) Release() {
+	if r == nil || r.buf == nil {
+		return
+	}
+	putBody(r.buf)
+	r.buf = nil
+	r.Body = nil
 }
 
 // ReasonPhrase returns the standard reason for common status codes.
@@ -237,9 +263,16 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(br, h)
+	n, err := contentLength(h)
 	if err != nil {
 		return nil, err
+	}
+	var body []byte
+	if n >= 0 {
+		body = make([]byte, n)
+		if _, err := io.ReadFull(br, body); err != nil {
+			return nil, err
+		}
 	}
 	return &Request{Method: method, Target: target, Proto: proto, Header: h, Body: body}, nil
 }
@@ -263,11 +296,11 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := readBody(br, h)
-	if err != nil {
+	resp := &Response{StatusCode: code, Reason: reason, Proto: proto, Header: h}
+	if err := resp.readBody(br); err != nil {
 		return nil, err
 	}
-	return &Response{StatusCode: code, Reason: reason, Proto: proto, Header: h, Body: body}, nil
+	return resp, nil
 }
 
 func readLine(br *bufio.Reader) (string, error) {
@@ -328,23 +361,42 @@ func readHeader(br *bufio.Reader) (Header, error) {
 	}
 }
 
-func readBody(br *bufio.Reader, h Header) ([]byte, error) {
+// contentLength returns the declared body length, or -1 when the message
+// carries no Content-Length.
+func contentLength(h Header) (int, error) {
 	cl := h.Get("Content-Length")
 	if cl == "" {
-		return nil, nil
+		return -1, nil
 	}
 	n, err := strconv.Atoi(cl)
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
+		return 0, fmt.Errorf("%w: Content-Length %q", ErrMalformed, cl)
 	}
 	if n > MaxBodyBytes {
-		return nil, ErrBodyTooBig
+		return 0, ErrBodyTooBig
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
+	return n, nil
+}
+
+// readBody reads the response body, into a pooled buffer when it is at
+// least minPooledBody bytes (see Release). A short read returns the buffer
+// to its pool before reporting the error.
+func (r *Response) readBody(br *bufio.Reader) error {
+	n, err := contentLength(r.Header)
+	if err != nil || n < 0 {
+		return err
 	}
-	return body, nil
+	if n < minPooledBody {
+		r.Body = make([]byte, n)
+	} else {
+		r.buf = getBody(n)
+		r.Body = (*r.buf)[:n:n]
+	}
+	if _, err := io.ReadFull(br, r.Body); err != nil {
+		r.Release()
+		return err
+	}
+	return nil
 }
 
 // RoundTrip writes req on conn and reads the response. The caller owns the

@@ -3,6 +3,7 @@ package httpwire
 import (
 	"bufio"
 	"io"
+	"math/bits"
 	"sync"
 )
 
@@ -44,3 +45,36 @@ func putWriter(bw *bufio.Writer) {
 	bw.Reset(nil)
 	writerPool.Put(bw)
 }
+
+// Response bodies of at least minPooledBody bytes are read into buffers
+// recycled per power-of-two size class. This pool is the one exception to
+// the in-function lifetime rule above: a body outlives ReadResponse, so the
+// Response owns its buffer and Release is the only way back (see Response).
+// Smaller and empty bodies keep an exact make — most of them (DNS probe
+// pages, CONNECT replies) are never released, and rounding them up to a
+// class would only cost.
+const (
+	minPooledBodyShift = 11 // 2 KB: every §5 object is pooled, CSS (3 KB) included
+	minPooledBody      = 1 << minPooledBodyShift
+	maxPooledBodyShift = 23 // MaxBodyBytes
+)
+
+// bodyPools[k] holds *[]byte buffers of capacity exactly 1<<(k+minPooledBodyShift).
+var bodyPools [maxPooledBodyShift - minPooledBodyShift + 1]sync.Pool
+
+// bodyClass returns the pool index of the smallest class holding n bytes
+// (minPooledBody <= n <= MaxBodyBytes).
+func bodyClass(n int) int { return bits.Len(uint(n-1)) - minPooledBodyShift }
+
+// getBody returns a buffer of the class holding n bytes.
+func getBody(n int) *[]byte {
+	k := bodyClass(n)
+	if bp, ok := bodyPools[k].Get().(*[]byte); ok {
+		return bp
+	}
+	b := make([]byte, 1<<(k+minPooledBodyShift))
+	return &b
+}
+
+// putBody returns a buffer from getBody to its class.
+func putBody(bp *[]byte) { bodyPools[bodyClass(cap(*bp))].Put(bp) }

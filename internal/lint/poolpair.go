@@ -16,7 +16,9 @@ type poolPair struct {
 
 // poolPairs are the repository's pooled-buffer protocols (PR 3). The rule
 // they encode: pool only where the lifetime ends in-function, so every Get
-// has a syntactically findable Put.
+// has a syntactically findable Put. httpwire's response-body pool is the
+// one exception and is deliberately absent: a body outlives ReadResponse,
+// and its *Response owns the buffer until Release.
 var poolPairs = []poolPair{
 	{get: "GetReader", put: "PutReader", pkgSuffix: "internal/httpwire"},
 	{get: "getWriter", put: "putWriter"},

@@ -1,6 +1,7 @@
 package middlebox
 
 import (
+	"bufio"
 	"bytes"
 	"math/rand/v2"
 	"net/netip"
@@ -584,5 +585,39 @@ func TestCertMITMEmptyChainAndIssuerlessProduct(t *testing.T) {
 	got := m.InterceptChain("www.bank.example", valid)
 	if got == nil || got[0].Issuer.CommonName != "" {
 		t.Fatalf("issuerless product produced %+v", got)
+	}
+}
+
+// TestHTMLInjectorLeavesPooledBodyAlone: with no </body> the injector
+// appends to the body it was handed. A pooled body is clipped to its
+// length, so the append must reallocate; were it to grow in place, the
+// injected page would change once the response is released and its buffer
+// reused.
+func TestHTMLInjectorLeavesPooledBodyAlone(t *testing.T) {
+	readWire := func(body []byte) *httpwire.Response {
+		var buf bytes.Buffer
+		resp := httpwire.NewResponse(200, body)
+		resp.Header.Set("Content-Type", "text/html")
+		if err := resp.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := httpwire.ReadResponse(bufio.NewReader(&buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	page := bytes.Repeat([]byte("<p>a page with no closing body tag</p>\n"), 100)
+	resp := readWire(page)
+	in := HTMLInjector{Product: "x", Signature: "sig", SignatureIsURL: true}
+	injected := in.InterceptHTTP("d1.example.org", "/", resp).Body
+	if !bytes.HasPrefix(injected, page) || len(injected) == len(page) {
+		t.Fatalf("injector did not append to the page (%d bytes)", len(injected))
+	}
+	want := bytes.Clone(injected)
+	resp.Release()
+	readWire(bytes.Repeat([]byte("z"), len(page)))
+	if !bytes.Equal(injected, want) {
+		t.Fatal("injected page changed after its response was released and the buffer reused")
 	}
 }

@@ -152,7 +152,12 @@ func (n *ExitNode) FetchHTTP(ctx context.Context, host string, port uint16, path
 		return nil, err
 	}
 	if n.Path != nil {
-		resp = n.Path.ApplyHTTP(host, path, resp)
+		// A replacement response (a block page) ends the origin body's
+		// life here; one rewritten in place still owns its buffer.
+		if out := n.Path.ApplyHTTP(host, path, resp); out != resp {
+			resp.Release()
+			resp = out
+		}
 	}
 	span.SetAttrs(trace.Int("status", int64(resp.StatusCode)))
 	return resp, nil

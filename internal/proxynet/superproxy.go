@@ -449,6 +449,8 @@ func (sp *SuperProxy) handleGet(ctx context.Context, conn net.Conn, req *httpwir
 	sp.armWriteDeadline(conn)
 	resp.Write(conn)
 	sp.clearWriteDeadline(conn)
+	// The write was the body's last use.
+	resp.Release()
 }
 
 // handleConnect establishes a TCP tunnel via an exit node; only port 443 is

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pre-merge gate: formatting, vet, tftlint static analysis, build,
 # race-enabled tests, a short fuzz smoke over every untrusted-input parser,
-# one-iteration benchmark smoke runs (crawl + the simnet fast-path pipe),
+# one-iteration benchmark smoke runs (crawl, the simnet fast-path pipe and
+# the httpwire response parse),
 # and a live scrape of the super proxy's Prometheus exposition including
 # the resolver-cache hit-rate assertion. Equivalent to `make check` for
 # environments without make.
@@ -26,6 +27,7 @@ go test -run=NONE -fuzz='FuzzReadResponse$' -fuzztime=5s ./internal/httpwire
 go test -run=NONE -fuzz='FuzzUnmarshal$' -fuzztime=5s ./internal/dnswire
 go test -run=NONE -bench=Crawl -benchtime=1x ./...
 go test -run=NONE -bench=Pipe -benchtime=1x -benchmem ./internal/simnet
+go test -run=NONE -bench=ReadResponse -benchtime=1x -benchmem ./internal/httpwire
 # Small-K shard-merge smoke: per-shard sinks and aggregate Merge must
 # reproduce the unsharded tables byte-for-byte.
 go test -run='TestDNSShardSinksMergeCanonically|TestDNSMergePartialsMatchUnsharded' .
